@@ -367,14 +367,6 @@ class WeightOrder:
         return max(monomials, key=self.key)
 
 
-def weight_of(order: WeightOrder, m: Monomial) -> int:
-    return order.weight(m)
-
-
-def compare(order: WeightOrder, a: Monomial, b: Monomial) -> int:
-    return order.compare(a, b)
-
-
 def leading_term(order: WeightOrder, f: Polynomial) -> tuple[Fraction, Monomial]:
     """Greatest term of f under the order; raises ZeroPolynomialError on 0."""
     if f.is_zero:

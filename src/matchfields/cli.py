@@ -121,11 +121,28 @@ def _cmd_weights(args) -> _Output:
     return _Output(True, _input_dict(a, None, args.w0), result, text, rows)
 
 
+def _at_least(value: int, least: int, name: str) -> int:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _threads(args) -> int:
+    if args.threads is not None:
+        return _at_least(args.threads, 1, "--threads")
+    text = os.environ.get("MATCHFIELDS_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        raise ValueError(f"MATCHFIELDS_THREADS must be an integer, got {text!r}") from None
+    return _at_least(threads, 1, "MATCHFIELDS_THREADS")
+
+
 def _cmd_verify(args) -> _Output:
+    threads = _threads(args)
+    if args.budget is not None:
+        _at_least(args.budget, 0, "--budget")
     a = _structure(args)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MATCHFIELDS_THREADS", "1"))
     report = verify_theorem_main(
         a,
         w0=args.w0,
@@ -230,6 +247,7 @@ def _edge_label(e: tuple) -> str:
 
 
 def _cmd_kernel(args) -> _Output:
+    _at_least(args.budget, 0, "--budget")
     a = _structure(args)
     pmap = plucker_map_from_matching_field(a)
     slices = []
@@ -333,12 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the Groebner degeneration")
     add_common(p, with_w0=True)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: MATCHFIELDS_THREADS or 1)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="at least 1; accepted for compatibility, the check runs in one "
+        "thread (default: MATCHFIELDS_THREADS or 1)",
+    )
     p.add_argument("--budget", type=int, default=None, help="cap on reduction steps")
     p.add_argument(
         "--no-coprime-criterion",
         action="store_true",
-        help="reduce every S-pair, even of coprime leading monomials",
+        help="reduce every S-pair: turn off the coprime and chain criteria",
     )
 
     add_common(sub.add_parser("betti", help="linear quotients and Betti numbers"))

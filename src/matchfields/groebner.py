@@ -5,16 +5,18 @@ by exact computation, that (1) every 3x3 minor has a unique maximum-weight
 term and that term is the matching-field generator, (2) every S-pair of the
 minors reduces to zero, and (3) the set of leading monomials equals the
 matching ideal's generating set.  The three checks are reported separately.
+
+Division runs on packed monomials (one int each, see _Packing) with int
+coefficients wherever the basis allows; Monomial and Polynomial objects are
+made only for the results handed back to the caller.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from threading import Lock
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Monomial,
@@ -22,7 +24,6 @@ from .algebra import (
     VariableId,
     WeightOrder,
     leading_monomial,
-    leading_term,
     minor_expand,
 )
 from .errors import BudgetExceededError, TooLargeError, ZeroPolynomialError
@@ -30,28 +31,188 @@ from .linalg import homogeneous_feasible
 from .matching import BlockStructure, generator, matching_ideal, weight_matrix
 
 
-class _StepBudget:
-    __slots__ = ("remaining", "_lock")
+class _Packing:
+    """Monomials of one WeightOrder packed into single ints.
 
-    def __init__(self, limit: Optional[int]):
-        self.remaining = limit
-        self._lock = Lock()
+    Each variable has a field just wide enough for `bound`, with a guard bit
+    above it, placed along the precedence with the least variable most
+    significant; a degree field and, on top, a weight field follow.  A product is the
+    sum of packed ints and a cofactor their difference, and lm divides m
+    exactly when ((m | guards) - lm) & guards == guards.
 
-    def spend(self) -> None:
-        if self.remaining is None:
-            return
-        with self._lock:
-            self.remaining -= 1
-            if self.remaining < 0:
-                raise BudgetExceededError("division step budget exhausted")
+    The division itself works on order keys key(p) = p - 2 * (p & exp_mask):
+    ints that compare as the order does (weight, then degree, then
+    reverse-lex) and, like packed ints, add under multiplication.
+
+    Every field must hold a value <= bound.  Callers pass a bound on the
+    weight of every monomial they will form; as every weight is >= 1, it
+    also bounds the degree and each exponent.
+    """
+
+    __slots__ = ("n", "bound", "variables", "pos", "weights", "field", "width",
+                 "deg_shift", "exp_mask", "guards")
+
+    def __init__(self, order: WeightOrder, bound: int):
+        bits = max(bound, 1).bit_length()
+        self.n = order.n
+        self.bound = bound
+        self.variables = order.precedence
+        self.pos = {v: i for i, v in enumerate(self.variables)}
+        self.weights = order.weights
+        self.field = (1 << bits) - 1
+        self.width = bits + 1
+        self.deg_shift = len(self.variables) * self.width
+        self.exp_mask = (1 << self.deg_shift) - 1
+        fields = len(self.variables) + 2
+        self.guards = sum(1 << f * self.width + bits for f in range(fields))
+
+    def pack(self, m: Monomial) -> int:
+        p = weight = 0
+        for v, e in m.items():
+            p += e << self.pos[v] * self.width
+            weight += self.weights[v] * e
+        if max(weight, m.degree) > self.bound:
+            raise OverflowError(f"{m!r} does not fit the packing bound {self.bound}")
+        return p + (m.degree << self.deg_shift) + (weight << self.deg_shift + self.width)
+
+    def key(self, p: int) -> int:
+        return p - 2 * (p & self.exp_mask)
+
+    def packed(self, k: int) -> int:
+        return k + 2 * (-k & self.exp_mask)
+
+    def exponents(self, p: int) -> list[int]:
+        """Exponents of packed p along the precedence."""
+        return [p >> i * self.width & self.field for i in range(len(self.variables))]
+
+    def support(self, p: int) -> int:
+        """Bit i is set when the variable at precedence position i occurs."""
+        return sum(1 << i for i, e in enumerate(self.exponents(p)) if e)
+
+    def lcm(self, a: int, b: int, common: int) -> tuple[int, int]:
+        """Packed lcm of packed a and b, and its degree; common is the
+        intersection of their supports."""
+        field, width = self.field, self.width
+        gcd = degree = weight = 0
+        while common:
+            low = common & -common
+            i = low.bit_length() - 1
+            e = min(a >> i * width & field, b >> i * width & field)
+            gcd += e << i * width
+            degree += e
+            weight += self.weights[self.variables[i]] * e
+            common ^= low
+        l = a + b - gcd - (degree << self.deg_shift) - (weight << self.deg_shift + width)
+        return l, l >> self.deg_shift & field
+
+    def polynomial(self, work: Mapping[int, Fraction | int]) -> Polynomial:
+        """The Polynomial of {key: coefficient}."""
+        terms = {}
+        for k, c in work.items():
+            exps = self.exponents(self.packed(k))
+            terms[Monomial(self.n, {v: e for v, e in zip(self.variables, exps) if e})] = c
+        return Polynomial(self.n, terms)
+
+
+def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
+    return max(
+        (order.weight(m) for f in polys for _, m in f.terms()), default=0
+    )
+
+
+def _coefficient(c: Fraction) -> Fraction | int:
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Divider:
+    """A basis packed for division, with one step budget for all its calls.
+
+    Row i holds basis[i] as (packed lm, key of lm, 1/lc, tail), the tail
+    being its other terms as (key, coefficient).  1/lc is an int when lc is
+    +-1, so integral input stays in ints; otherwise it is a Fraction.
+    """
+
+    __slots__ = ("packing", "rows", "leads", "remaining")
+
+    def __init__(self, basis: Sequence[Polynomial], packing: _Packing, budget: Optional[int]):
+        self.packing = packing
+        self.rows = []
+        self.leads: dict[int, tuple] = {}
+        for g in basis:
+            if g.is_zero:
+                raise ZeroPolynomialError("basis contains the zero polynomial")
+            terms = sorted(
+                ((packing.key(packing.pack(m)), _coefficient(c)) for c, m in g.terms()),
+                reverse=True,
+            )
+            lk, lc = terms[0]
+            inv = lc if lc in (1, -1) else 1 / Fraction(lc)
+            row = (packing.packed(lk), lk, inv, tuple(terms[1:]))
+            self.rows.append(row)
+            self.leads.setdefault(row[0], row)
+        self.remaining = budget
+
+    def s_polynomial(self, i: int, j: int, lcm_key: int) -> dict[int, Fraction | int]:
+        """(lcm/lt_i) * f_i - (lcm/lt_j) * f_j as {key: coefficient}."""
+        _, ki, inv, tail = self.rows[i]
+        cof = lcm_key - ki
+        work = {k + cof: c * inv for k, c in tail}
+        _, kj, inv, tail = self.rows[j]
+        cof = lcm_key - kj
+        for k, c in tail:
+            k += cof
+            v = work.get(k, 0) - c * inv
+            if v:
+                work[k] = v
+            else:
+                del work[k]
+        return work
+
+    def normal_form(self, work: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+        """Full normal form of work (consumed) modulo the basis.
+
+        Repeatedly cancels the greatest reducible term by the first basis
+        element whose leading monomial divides it; terms reducible by none
+        move to the remainder.
+        """
+        leads, guards, exp_mask = self.leads, self.packing.guards, self.packing.exp_mask
+        left = self.remaining
+        remainder = {}
+        while work:
+            k = max(work)
+            c = work.pop(k)
+            m = (k + 2 * (-k & exp_mask)) | guards
+            for lp in leads:
+                if (m - lp) & guards == guards:
+                    if left is not None:
+                        left -= 1
+                        if left < 0:
+                            raise BudgetExceededError("division step budget exhausted")
+                    _, lk, inv, tail = leads[lp]
+                    factor = c * inv
+                    cof = k - lk
+                    for tk, tc in tail:
+                        tk += cof
+                        v = work.get(tk, 0) - factor * tc
+                        if v:
+                            work[tk] = v
+                        else:
+                            del work[tk]
+                    break
+            else:
+                remainder[k] = c
+        self.remaining = left
+        return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: WeightOrder) -> Polynomial:
     """S-polynomial (lcm/lt(f)) * f - (lcm/lt(g)) * g with exact coefficients."""
-    cf, mf = leading_term(order, f)
-    cg, mg = leading_term(order, g)
-    l = mf.lcm(mg)
-    return f.term_mul(1 / cf, l.exact_div(mf)) - g.term_mul(1 / cg, l.exact_div(mg))
+    # An lcm of two leading monomials weighs at most the sum of their weights.
+    packing = _Packing(order, 2 * _max_weight([f, g], order))
+    div = _Divider([f, g], packing, None)
+    a, b = div.rows[0][0], div.rows[1][0]
+    l, _ = packing.lcm(a, b, packing.support(a) & packing.support(b))
+    return packing.polynomial(div.s_polynomial(0, 1, packing.key(l)))
 
 
 def reduce(
@@ -67,51 +228,11 @@ def reduce(
     order is a well-order; budget (number of cancellation steps) guards
     pathological custom inputs.
     """
-    return _reduce(f, _prepare_basis(basis, order), order, _StepBudget(budget))
-
-
-def _prepare_basis(
-    basis: Sequence[Polynomial], order: WeightOrder
-) -> list[tuple[Fraction, Monomial, Polynomial]]:
-    prepared = []
-    for g in basis:
-        if g.is_zero:
-            raise ZeroPolynomialError("basis contains the zero polynomial")
-        c, m = leading_term(order, g)
-        prepared.append((c, m, g))
-    return prepared
-
-
-def _reduce(
-    f: Polynomial,
-    prepared: list[tuple[Fraction, Monomial, Polynomial]],
-    order: WeightOrder,
-    budget: _StepBudget,
-) -> Polynomial:
-    key = order.key
-    work = {m: c for c, m in f.terms()}
-    remainder: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for cg, mg, g in prepared:
-            if mg.divides(m):
-                budget.spend()
-                factor = c / cg
-                cof = m.exact_div(mg)
-                for cgt, mgt in g.terms():
-                    if mgt is mg or mgt == mg:
-                        continue
-                    mm = mgt * cof
-                    nv = work.get(mm, Fraction(0)) - factor * cgt
-                    if nv:
-                        work[mm] = nv
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(f.n, remainder)
+    # Every term formed is <= lm(f), so no weight exceeds those of the input.
+    packing = _Packing(order, _max_weight([f, *basis], order))
+    div = _Divider(basis, packing, budget)
+    work = {packing.key(packing.pack(m)): _coefficient(c) for c, m in f.terms()}
+    return packing.polynomial(div.normal_form(work))
 
 
 class GroebnerCheck(NamedTuple):
@@ -133,45 +254,60 @@ def is_groebner(
     """Buchberger's criterion: do all S-pairs reduce to zero?
 
     Pairs are processed in the normal strategy (by lcm degree, then by the
-    order on lcms).  With use_coprime_criterion, pairs with coprime leading
-    monomials are counted as reduced without running the division (the
-    product criterion); disable it to force every reduction.  A blown budget
-    raises BudgetExceededError rather than returning False.
+    order on lcms).  With use_coprime_criterion, two pair criteria settle a
+    pair without running the division, and it counts as reduced: its
+    leading monomials are coprime (the product criterion), or a third
+    leading monomial lm_k divides its lcm while the pairs (i, k) and (j, k)
+    are already settled (the chain criterion, Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 2 sec. 10).  A pair settles when it is
+    skipped or reduces to zero, never when it leaves a residual.  Disable
+    the option to force every reduction.  The budget caps the cancellation
+    steps of the whole pass; a blown budget raises BudgetExceededError
+    rather than returning False.  threads is accepted for compatibility:
+    the check runs in the calling thread.
     """
-    prepared = _prepare_basis(basis, order)
-    shared = _StepBudget(budget)
-    pairs = []
-    for i, j in combinations(range(len(basis)), 2):
-        l = prepared[i][1].lcm(prepared[j][1])
-        pairs.append((l.degree, order.key(l), i, j))
-    pairs.sort()
-
-    todo = []
+    # An lcm of two leading monomials weighs at most the sum of their weights.
+    packing = _Packing(order, 2 * _max_weight(basis, order))
+    div = _Divider(basis, packing, budget)
+    leads = [row[0] for row in div.rows]
+    supports = [packing.support(p) for p in leads]
+    s = len(leads)
+    # Bit k of settled[i]: the pair (i, k) is settled.  Coprime pairs settle
+    # up front, as the product criterion depends on no other pair.
+    settled = [0] * s
     reduced = 0
-    for _, _, i, j in pairs:
-        if use_coprime_criterion and prepared[i][1].coprime(prepared[j][1]):
+    pairs = []
+    for i, j in combinations(range(s), 2):
+        common = supports[i] & supports[j]
+        if use_coprime_criterion and not common:
+            settled[i] |= 1 << j
+            settled[j] |= 1 << i
             reduced += 1
         else:
-            todo.append((i, j))
+            l, degree = packing.lcm(leads[i], leads[j], common)
+            pairs.append((degree, packing.key(l), i, j, l))
+    pairs.sort()
 
-    def run(pair: tuple[int, int]) -> tuple[int, int, Polynomial]:
-        i, j = pair
-        s = s_polynomial(basis[i], basis[j], order)
-        return i, j, _reduce(s, prepared, order, shared)
-
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, todo))
-    else:
-        results = [run(p) for p in todo]
-
+    guards = packing.guards
     witness = None
-    for i, j, residual in results:
-        if residual.is_zero:
-            reduced += 1
-        elif witness is None:
-            witness = (i, j, residual)
-    return GroebnerCheck(witness is None, len(pairs), reduced, witness)
+    for _, lcm_key, i, j, l in pairs:
+        chain = settled[i] & settled[j] if use_coprime_criterion else 0
+        lg = l | guards
+        while chain:
+            low = chain & -chain
+            if (lg - leads[low.bit_length() - 1]) & guards == guards:
+                break
+            chain ^= low
+        if not chain:
+            residual = div.normal_form(div.s_polynomial(i, j, lcm_key))
+            if residual:
+                if witness is None:
+                    witness = (i, j, packing.polynomial(residual))
+                continue
+        settled[i] |= 1 << j
+        settled[j] |= 1 << i
+        reduced += 1
+    return GroebnerCheck(witness is None, s * (s - 1) // 2, reduced, witness)
 
 
 @dataclass(frozen=True)

@@ -193,8 +193,9 @@ def hilbert_dim_rect(k: int, n: int, d: int) -> int:
         for j in range(1, d + 1):
             hook = (d - j) + (k - i) + 1
             out *= Fraction(n + j - i, hook)
-    assert out.denominator == 1
-    return int(out)
+    if out.denominator != 1:
+        raise ArithmeticError(f"hook content product {out} is not an integer")
+    return out.numerator
 
 
 @dataclass(frozen=True)

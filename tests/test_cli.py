@@ -180,3 +180,35 @@ def test_threads_env_variable(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--blocks", "2,2")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--blocks", "2,2", "--threads", "0"], "--threads"),
+        (["verify", "--blocks", "2,2", "--threads", "-3"], "--threads"),
+        (["verify", "--blocks", "2,2", "--budget", "-1"], "--budget"),
+        (["kernel", "--blocks", "2,2", "--budget", "-1"], "--budget"),
+    ],
+)
+def test_out_of_range_options_exit_two(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+    assert "budget exhausted" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_threads_env_variable_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("MATCHFIELDS_THREADS", value)
+    code, out, err = run(capsys, "verify", "--blocks", "2,2")
+    assert code == 2
+    assert out == ""
+    assert "MATCHFIELDS_THREADS" in err
+
+
+def test_zero_budget_is_a_budget_not_an_input_error(capsys):
+    code, _, err = run(capsys, "verify", "--blocks", "2,2", "--budget", "0")
+    assert code == 2
+    assert "budget exhausted" in err

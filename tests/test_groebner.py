@@ -15,6 +15,7 @@ from matchfields import (
     attainable_initial_supports,
     is_groebner,
     leading_monomial,
+    leading_term,
     matching_ideal,
     minor_expand,
     plucker_quadric_gr24,
@@ -234,3 +235,127 @@ def test_verify_reports_per_minor_details():
     assert rep.initial_ideal_equals_matching_ideal
     assert rep.failures == ()
     assert rep.ok
+
+
+def _random_ring(rng, unit_weights=False):
+    """A random order on n = 1 or 2 and a maker of random small polynomials."""
+    n = rng.choice([1, 2])
+    variables = [VariableId(fam, i) for fam in "xyz" for i in range(1, n + 1)]
+    precedence = variables[:]
+    rng.shuffle(precedence)
+    weights = {v: 1 if unit_weights else rng.choice([1, 1, 2, 3]) for v in variables}
+    order = WeightOrder(n, weights, precedence)
+
+    def poly(terms, coefficients=(1, -1)):
+        pairs = []
+        for _ in range(terms):
+            m = Monomial.one(n)
+            for _ in range(rng.randrange(0, 4)):
+                m = m * Monomial.of(n, rng.choice(variables))
+            pairs.append((rng.choice(coefficients), m))
+        return Polynomial.from_terms(n, pairs)
+
+    return order, poly
+
+
+def _random_basis(rng, poly, coefficients):
+    basis = [poly(rng.randrange(1, 4), coefficients) for _ in range(rng.randrange(2, 6))]
+    return [b for b in basis if not b.is_zero]
+
+
+def test_pair_criteria_agree_with_full_reduction_on_random_bases():
+    rng = random.Random(11)
+    seen = {"groebner": 0, "not groebner": 0, "non-unit leading coefficient": 0}
+    for trial in range(240):
+        order, poly = _random_ring(rng)
+        coefficients = (1, -1) if trial % 2 else (1, -1, 2, -3, Fraction(1, 2))
+        basis = _random_basis(rng, poly, coefficients)
+        fast = is_groebner(basis, order)
+        full = is_groebner(basis, order, use_coprime_criterion=False)
+        assert fast.ok == full.ok, (basis, order.precedence)
+        assert fast.s_pairs_total == full.s_pairs_total
+        if fast.ok:
+            assert fast.s_pairs_reduced_to_zero == full.s_pairs_reduced_to_zero
+        else:
+            assert fast.s_pairs_reduced_to_zero < fast.s_pairs_total
+        seen["groebner" if fast.ok else "not groebner"] += 1
+        if any(abs(leading_term(order, b)[0]) != 1 for b in basis):
+            seen["non-unit leading coefficient"] += 1
+        leads = [leading_monomial(order, b) for b in basis]
+        for check in (fast, full):
+            if check.witness is not None:
+                _, _, residual = check.witness
+                assert not residual.is_zero
+                for m in residual.monomials():
+                    assert not any(l.divides(m) for l in leads)
+    assert min(seen.values()) >= 40, seen
+
+
+def _to_sympy(f, symbols):
+    import sympy
+
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[symbols[v] ** e for v, e in m.items()])
+            for c, m in f.terms()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def test_reduce_matches_sympy_reduced_under_grevlex():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for _ in range(80):
+        order, poly = _random_ring(rng, unit_weights=True)
+        symbols = {v: sympy.Symbol(str(v)) for v in order.precedence}
+        gens = [symbols[v] for v in order.precedence]  # greatest first
+        basis = _random_basis(rng, poly, (1, -1, 2, Fraction(1, 3)))
+        f = poly(rng.randrange(1, 6), (1, -1, 2, Fraction(1, 3)))
+        _, expected = sympy.reduced(
+            _to_sympy(f, symbols),
+            [_to_sympy(b, symbols) for b in basis],
+            *gens,
+            order="grevlex",
+        )
+        got = _to_sympy(reduce(f, basis, order), symbols)
+        assert sympy.expand(expected - got) == 0, (f, basis)
+
+
+def test_sympy_groebner_bases_pass_with_and_without_criteria():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    for _ in range(25):
+        order, poly = _random_ring(rng, unit_weights=True)
+        n = order.n
+        symbols = {v: sympy.Symbol(str(v)) for v in order.precedence}
+        gens = [symbols[v] for v in order.precedence]
+        basis = _random_basis(rng, poly, (1, -1, 2))
+        gb = sympy.groebner([_to_sympy(b, symbols) for b in basis], *gens, order="grevlex")
+        ours = []
+        for g in gb.exprs:
+            terms = sympy.Poly(g, *gens).terms()
+            ours.append(
+                Polynomial.from_terms(
+                    n,
+                    [
+                        (
+                            Fraction(int(c.p), int(c.q)),
+                            Monomial(n, dict(zip(order.precedence, exps))),
+                        )
+                        for exps, c in terms
+                    ],
+                )
+            )
+        for crit in (True, False):
+            check = is_groebner(ours, order, use_coprime_criterion=crit)
+            assert check.ok and check.witness is None
+            assert check.s_pairs_reduced_to_zero == check.s_pairs_total
+
+
+def test_pair_criteria_save_budget():
+    a = BlockStructure((3, 2))
+    assert verify_theorem_main(a, budget=30).ok
+    with pytest.raises(BudgetExceededError):
+        verify_theorem_main(a, budget=30, use_coprime_criterion=False)
