@@ -247,6 +247,7 @@ def _edge_label(e: tuple) -> str:
 
 
 def _cmd_kernel(args) -> _Output:
+    _at_least(args.dmax, 1, "--dmax")
     _at_least(args.budget, 0, "--budget")
     a = _structure(args)
     pmap = plucker_map_from_matching_field(a)

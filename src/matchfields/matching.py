@@ -12,7 +12,8 @@ generators are the combinatorial core of everything else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .algebra import Monomial, VariableId, WeightOrder, xvar, yvar, zvar
@@ -60,9 +61,6 @@ class BlockStructure:
             raise ValueError(f"block index {t} outside [1, {self.r}]")
         return range(a[t - 1] + 1, a[t] + 1)
 
-    def blocks(self) -> list[range]:
-        return [self.block(t) for t in range(1, self.r + 1)]
-
     def block_of(self, i: int) -> int:
         """Index t of the block containing column i."""
         if not 1 <= i <= self.n:
@@ -90,9 +88,6 @@ class GeneratorTriple(NamedTuple):
 
     def monomial(self, n: int) -> Monomial:
         return Monomial.of(n, xvar(self.x), yvar(self.y), zvar(self.z))
-
-    def label(self) -> str:
-        return f"{self.x}{self.y}{self.z}" if self.z <= 9 else f"{self.x}.{self.y}.{self.z}"
 
 
 def generator(a: BlockStructure, subset: Iterable[int]) -> GeneratorTriple:
@@ -132,10 +127,17 @@ class MonomialIdeal:
         ns = {g.n for g in gens}
         if len(ns) > 1:
             raise ValueError("generators live over different ambient n")
-        for g in gens:
-            for h in gens:
-                if g is not h and g != h and g.divides(h):
-                    raise ValueError(f"{g} divides {h}: generating set not minimal")
+        # A proper divisor has a smaller degree, and the generators are
+        # distinct, so only pairs of unequal degree need a test.
+        degree = attrgetter("degree")
+        lower: list[Monomial] = []
+        for _, group in groupby(sorted(gens, key=degree), key=degree):
+            group = list(group)
+            for h in group:
+                for g in lower:
+                    if g.divides(h):
+                        raise ValueError(f"{g} divides {h}: generating set not minimal")
+            lower.extend(group)
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "MonomialIdeal":
@@ -149,9 +151,6 @@ class MonomialIdeal:
 
     def sorted_generators(self) -> list[Monomial]:
         return sorted(self.generators, key=lambda m: m._key)
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
 
     def __len__(self) -> int:
         return len(self.generators)

@@ -6,6 +6,13 @@ variables.  Its kernel is spanned degree by degree by differences of
 monomials with equal image.  Comparing the number of distinct images with
 the dimension of the corresponding space of bivariate/trivariate tableaux
 tests that all these degenerations share one Hilbert function.
+
+The slices work on integer image codes: each image's exponent vector is
+packed into one int, with fields wide enough that a product of d images
+never carries, so the code of a product is the sum of its factors' codes
+and equal codes mean equal images.  The part of a slice that lower degrees
+reach is spanned by binomials e_p - e_q, and its rank is counted by
+union-find.
 """
 
 from __future__ import annotations
@@ -14,15 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
 from .errors import TooLargeError, UnknownVariableError
-from .linalg import rational_rank
-from .matching import BlockStructure, generator, generator_triples
+from .matching import BlockStructure, generator
 
 Subset = tuple[int, ...]
 Exponents = tuple[int, ...]
+Combo = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -44,12 +51,6 @@ class PluckerMap:
     @property
     def assignment(self) -> dict[Subset, Monomial]:
         return dict(zip(self.source, self.images))
-
-    def index_of(self, subset: Subset) -> int:
-        try:
-            return self.source.index(tuple(subset))
-        except ValueError:
-            raise UnknownVariableError(f"no Pluecker variable for {subset}")
 
 
 def plucker_map_from_matching_field(a: BlockStructure) -> PluckerMap:
@@ -97,40 +98,102 @@ def image_monomial(pmap: PluckerMap, exponents: Mapping[Subset, int]) -> Monomia
     return out
 
 
-def _degree_slice(pmap: PluckerMap, d: int, budget: int):
-    """All degree-d Pluecker exponent tuples, their index, and image fibers."""
+def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
+    """Each image's exponent vector packed into one int, fit for degree d.
+
+    Every image variable gets a field of (d * max image exponent).bit_length()
+    + 1 bits, which holds any of its exponents in a product of d images.  So
+    no carry happens: the code of a product is the sum of its factors' codes,
+    and two products of degree d have equal images exactly when their codes
+    are equal.
+    """
+    variables = sorted({v for m in pmap.images for v in m.variables()})
+    field = {v: i for i, v in enumerate(variables)}
+    top = max((e for m in pmap.images for _, e in m.items()), default=0)
+    width = (d * top).bit_length() + 1
+    return [sum(e << (width * field[v]) for v, e in m.items()) for m in pmap.images]
+
+
+def _fibres(pmap: PluckerMap, d: int, budget: int) -> dict[int, list[Combo]]:
+    """The degree-d Pluecker monomials grouped by image code.
+
+    A member is the sorted tuple of its factors' variable indices.  Members
+    come in combinations_with_replacement order, which is descending order
+    of their exponent tuples, so the last member of a fibre is its least.
+    """
     s = len(pmap.source)
     total = comb(s + d - 1, d)
     if total > budget:
         raise TooLargeError(
             f"degree {d} slice has {total} monomials, over the budget of {budget}"
         )
-    exps_list: list[Exponents] = []
-    for combo in combinations_with_replacement(range(s), d):
-        e = [0] * s
-        for i in combo:
-            e[i] += 1
-        exps_list.append(tuple(e))
-    index = {e: i for i, e in enumerate(exps_list)}
-    fibers: dict[Monomial, list[Exponents]] = {}
-    for e in exps_list:
-        img = Monomial.one(pmap.images[0].n)
-        for i, ei in enumerate(e):
-            if ei:
-                img = img * pmap.images[i].pow(ei)
-        fibers.setdefault(img, []).append(e)
-    return exps_list, index, fibers
+    codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
+    fibres: dict[int, list[Combo]] = {}
+    for combo, code in zip(combinations_with_replacement(range(s), d), codes):
+        fibre = fibres.get(code)
+        if fibre is None:
+            fibres[code] = [combo]
+        else:
+            fibre.append(combo)
+    return fibres
 
 
-def _spanning_binomials(fibers: dict) -> list[tuple[Exponents, Exponents]]:
-    """One binomial (other - root) per non-root member of each fiber."""
+def _exponents(combo: Combo, s: int) -> Exponents:
+    e = [0] * s
+    for i in combo:
+        e[i] += 1
+    return tuple(e)
+
+
+def _spanning_binomials(
+    fibres: dict[int, list[Combo]], s: int
+) -> list[tuple[Exponents, Exponents]]:
+    """One binomial (other - root) per non-root member of each fibre.
+
+    The root is the fibre's least exponent tuple; fibres come in ascending
+    order of their roots, and the others of a fibre in ascending order.
+    """
     out = []
-    for members in sorted(fibers.values(), key=min):
-        root = min(members)
-        for other in sorted(members):
-            if other != root:
-                out.append((other, root))
+    shared = (f for f in fibres.values() if len(f) > 1)
+    for members in sorted(shared, key=lambda f: f[-1], reverse=True):
+        root = _exponents(members[-1], s)
+        out.extend((_exponents(other, s), root) for other in reversed(members[:-1]))
     return out
+
+
+def _rank_from_below(pmap: PluckerMap, d: int, budget: int) -> int:
+    """Rank of the degree-(d-1) kernel times the variables, in degree d.
+
+    This is all of the degree-d kernel that lower degrees reach, because
+    K_{d2} * S_{d-1-d2} lies in K_{d-1} for every d2 < d.  Each row
+    e_p - e_q joins two degree-d monomials, so the rank is the number of
+    vertices less the number of components of the graph these edges span:
+    the count of successful union-find merges, which is exact over Q.
+    Monomials are keyed by their exponent vectors, packed d.bit_length()
+    bits a field.
+    """
+    if d == 1:
+        return 0
+    width = d.bit_length()
+    unit = [1 << (width * i) for i in range(len(pmap.source))]
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while (p := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(p, p)
+        return x
+
+    merges = 0
+    for members in _fibres(pmap, d - 1, budget).values():
+        keys = [sum(unit[i] for i in combo) for combo in members]
+        root = keys.pop()
+        for other in keys:
+            for u in unit:
+                a, b = find(other + u), find(root + u)
+                if a != b:
+                    parent[a] = b
+                    merges += 1
+    return merges
 
 
 @dataclass(frozen=True)
@@ -153,29 +216,13 @@ def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice
     if d < 1:
         raise ValueError("degree must be at least 1")
     s = len(pmap.source)
-    exps_list, index, fibers = _degree_slice(pmap, d, budget)
-    dimension = len(exps_list) - len(fibers)
-    binomials = tuple(_spanning_binomials(fibers))
-
-    old_rows: list[dict[int, Fraction]] = []
-    one = Fraction(1)
-    for d2 in range(1, d):
-        _, _, low_fibers = _degree_slice(pmap, d2, budget)
-        for plus, minus in _spanning_binomials(low_fibers):
-            for combo in combinations_with_replacement(range(s), d - d2):
-                bump = [0] * s
-                for i in combo:
-                    bump[i] += 1
-                p = tuple(x + b for x, b in zip(plus, bump))
-                q = tuple(x + b for x, b in zip(minus, bump))
-                old_rows.append({index[p]: one, index[q]: -one})
-    spanned = rational_rank(old_rows) if old_rows else 0
-
+    fibres = _fibres(pmap, d, budget)
+    dimension = comb(s + d - 1, d) - len(fibres)
     return KernelSlice(
         degree=d,
         dimension=dimension,
-        binomials=binomials,
-        new_minimal_generators=dimension - spanned,
+        binomials=tuple(_spanning_binomials(fibres, s)),
+        new_minimal_generators=dimension - _rank_from_below(pmap, d, budget),
     )
 
 
@@ -215,11 +262,7 @@ def flatness_check(
     rows = []
     ok = True
     for d in range(0, dmax + 1):
-        if d == 0:
-            distinct = 1
-        else:
-            _, _, fibers = _degree_slice(pmap, d, budget)
-            distinct = len(fibers)
+        distinct = len(_fibres(pmap, d, budget)) if d else 1
         expected = hilbert_dim_rect(k, n, d)
         rows.append((d, distinct, expected))
         if distinct != expected:

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from math import comb
 
 import pytest
 
-from matchfields import __version__
+from matchfields import __version__, hilbert_dim_rect
 from matchfields.cli import main
 
 
@@ -139,6 +140,21 @@ def test_kernel_json(capsys):
     assert doc["result"]["flatness_rows"] == [[0, 1, 1], [1, 10, 10], [2, 50, 50]]
 
 
+def test_kernel_json_n8_to_degree_three(capsys):
+    code, out, _ = run(
+        capsys, "kernel", "--blocks", "2,3,2,1", "--dmax", "3", "--format", "json"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    slices = result["slices"]
+    assert [e["degree"] for e in slices] == [1, 2, 3]
+    for e in slices:
+        d = e["degree"]
+        assert e["dimension"] == comb(55 + d, d) - hilbert_dim_rect(3, 8, d)
+    assert [e["new_minimal_generators"] for e in slices] == [0, 420, 0]
+    assert result["flatness_ok"] is True
+
+
 def test_supports_text_and_json(capsys):
     code, out, _ = run(capsys, "supports", "--plucker-quadric", "2", "4")
     assert code == 0
@@ -189,6 +205,8 @@ def test_threads_env_variable(capsys, monkeypatch):
         (["verify", "--blocks", "2,2", "--threads", "-3"], "--threads"),
         (["verify", "--blocks", "2,2", "--budget", "-1"], "--budget"),
         (["kernel", "--blocks", "2,2", "--budget", "-1"], "--budget"),
+        (["kernel", "--n", "4", "--dmax", "0"], "--dmax"),
+        (["kernel", "--n", "4", "--dmax", "-1"], "--dmax"),
     ],
 )
 def test_out_of_range_options_exit_two(capsys, argv, option):

@@ -1,5 +1,8 @@
 """Pluecker monomial maps, kernel slices, and Hilbert-function flatness."""
 
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from matchfields import (
@@ -22,6 +25,7 @@ from matchfields import (
     yvar,
     zvar,
 )
+from matchfields.linalg import rational_rank
 
 
 def all_compositions(n):
@@ -181,3 +185,104 @@ def test_quadric_polynomial():
     assert f.coefficient(Monomial.of(6, xvar(1), xvar(6))) == 1
     assert f.coefficient(Monomial.of(6, xvar(2), xvar(5))) == -1
     assert f.coefficient(Monomial.of(6, xvar(3), xvar(4))) == 1
+
+
+def reference_kernel_slice(pm, d):
+    """The direct algorithm: image monomials group the degree-d slice, and
+    every lower-degree spanning binomial times every monomial of the
+    complementary degree is a row of a rational matrix whose rank is the
+    part of the slice that lower degrees reach."""
+    s = len(pm.source)
+
+    def monomials(deg):
+        out = []
+        for combo in combinations_with_replacement(range(s), deg):
+            e = [0] * s
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+        return out
+
+    def spanning_binomials(deg):
+        fibres = {}
+        for e in monomials(deg):
+            image = image_monomial(pm, {sub: k for sub, k in zip(pm.source, e) if k})
+            fibres.setdefault(image, []).append(e)
+        out = []
+        for members in sorted(fibres.values(), key=min):
+            root = min(members)
+            out.extend((other, root) for other in sorted(members) if other != root)
+        return out
+
+    index = {e: i for i, e in enumerate(monomials(d))}
+    binomials = spanning_binomials(d)
+    rows = []
+    for d2 in range(1, d):
+        for plus, minus in spanning_binomials(d2):
+            for bump in monomials(d - d2):
+                p = tuple(x + b for x, b in zip(plus, bump))
+                q = tuple(x + b for x, b in zip(minus, bump))
+                rows.append({index[p]: Fraction(1), index[q]: Fraction(-1)})
+    spanned = rational_rank(rows) if rows else 0
+    return KernelSlice(
+        degree=d,
+        dimension=len(binomials),
+        binomials=tuple(binomials),
+        new_minimal_generators=len(binomials) - spanned,
+    )
+
+
+def repeated_power_map():
+    """Images with exponents up to 4, two of them equal: a map that is not
+    injective in degree 1 and has new kernel generators in degree 4.  There
+    p14^4 -> x1^16*y2^4 and p23^3*p24 -> y2^5 would share an image code if
+    the x1 field held only 4 bits."""
+    n = 3
+    x1, y2 = xvar(1), yvar(2)
+    images = (
+        Monomial(n, {x1: 2}),
+        Monomial(n, {x1: 2}),
+        Monomial(n, {x1: 4, y2: 1}),
+        Monomial(n, {y2: 1}),
+        Monomial(n, {y2: 2}),
+        Monomial(n, {x1: 1, y2: 3}),
+    )
+    return PluckerMap(tuple(combinations(range(1, 5), 2)), images)
+
+
+def differential_cases():
+    cases = [
+        (parts, d) for n in range(3, 7) for parts in all_compositions(n) for d in (1, 2)
+    ]
+    cases += [(parts, 3) for parts in [(3, 2), (2, 2, 1), (1, 1, 1, 1, 1)]]
+    return [
+        pytest.param(parts, d, id=f"{','.join(map(str, parts))}-d{d}") for parts, d in cases
+    ]
+
+
+@pytest.mark.parametrize("parts, d", differential_cases())
+def test_kernel_slice_matches_reference(parts, d):
+    pm = plucker_map_from_matching_field(BlockStructure(parts))
+    assert kernel_slice(pm, d) == reference_kernel_slice(pm, d)
+
+
+@pytest.mark.parametrize(
+    "pm, dmax",
+    [
+        (diagonal_plucker_map(2, 5), 3),
+        (diagonal_plucker_map(3, 6), 3),
+        (repeated_power_map(), 4),
+    ],
+    ids=["diagonal-2x5", "diagonal-3x6", "repeated-powers"],
+)
+def test_kernel_slice_matches_reference_on_other_maps(pm, dmax):
+    for d in range(1, dmax + 1):
+        assert kernel_slice(pm, d) == reference_kernel_slice(pm, d)
+
+
+def test_repeated_power_map_is_exercised():
+    pm = repeated_power_map()
+    slices = [kernel_slice(pm, d) for d in range(1, 5)]
+    assert [ks.dimension for ks in slices] == [1, 6, 21, 58]
+    assert [ks.new_minimal_generators for ks in slices] == [1, 0, 0, 2]
+
