@@ -50,13 +50,12 @@ class _Output:
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
-    except ValueError:
-        raise ValueError(f"cannot parse blocks {text!r}: expected e.g. 2,3,2")
-    if not parts:
-        raise ValueError("blocks must contain at least one part")
-    return parts
+    """Comma-separated block sizes, each plain ASCII digits; whitespace around
+    a part is allowed, an empty part is not."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse --blocks {text!r}: expected e.g. 2,3,2")
+    return tuple(int(p) for p in parts)
 
 
 def _structure(args) -> BlockStructure:

@@ -1,39 +1,54 @@
-"""Small exact linear-algebra helpers: rational ranks and linear feasibility.
+"""Small exact linear-algebra helpers: ranks and linear feasibility.
 
-Everything here works over fractions.Fraction; no floating point.
+Ranks are computed by fraction-free integer elimination; feasibility works
+over fractions.Fraction.  No floating point and no modular arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def rational_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Rank of the row span of sparse rational vectors (column index -> value).
+def rational_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
+    """Rank over the rationals of the row span of sparse vectors.
 
-    Plain Gaussian elimination with exact arithmetic; rows may share no
-    common dimension bound, columns are arbitrary hashable-int indices.
+    Rows map column index -> value (int or Fraction).  Each row is scaled to
+    integers by the lcm of its denominators and eliminated against the
+    pivot rows (stored with a positive leading entry) with fraction-free
+    integer operations, dividing out the row content after each step so
+    entries stay small.  Columns are arbitrary
+    int indices.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
-        work = {c: Fraction(v) for c, v in row.items() if v}
+        scale = lcm(*(v.denominator for v in row.values()))
+        work = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
         while work:
             c = min(work)
             piv = pivots.get(c)
             if piv is None:
-                inv = 1 / work[c]
-                pivots[c] = {cc: vv * inv for cc, vv in work.items()}
+                if work[c] < 0:
+                    work = {cc: -vv for cc, vv in work.items()}
+                pivots[c] = work
                 rank += 1
                 break
-            factor = work[c]
+            a, f = piv[c], work[c]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                work = {cc: a * vv for cc, vv in work.items()}
             for cc, vv in piv.items():
-                nv = work.get(cc, Fraction(0)) - factor * vv
+                nv = work.get(cc, 0) - f * vv
                 if nv:
                     work[cc] = nv
                 else:
                     work.pop(cc, None)
+            content = gcd(*work.values())
+            if content > 1:
+                work = {cc: vv // content for cc, vv in work.items()}
     return rank
 
 

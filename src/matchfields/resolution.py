@@ -4,15 +4,14 @@ Two independent routes to Betti numbers live here and deliberately share no
 code.  The certificate route checks the linear-quotient property along a
 given generator ordering and reads the Betti numbers off the colon-set sizes
 with a binomial-coefficient formula.  The oracle route computes multigraded
-Betti numbers directly as ranks of reduced simplicial homology over exact
-rationals, one lcm-lattice element at a time, and knows nothing about
-quotient orderings.
+Betti numbers directly as ranks of reduced simplicial homology of upper
+Koszul complexes, by exact integer elimination, one lcm-lattice element at a
+time, and knows nothing about quotient orderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -162,15 +161,19 @@ def diagonal_lex_sets(n: int) -> list[tuple[GeneratorTriple, frozenset[VariableI
 
 
 def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
-    """Betti numbers by reduced homology over the lcm lattice.
+    """Betti numbers by reduced homology of upper Koszul complexes.
 
-    For each lattice element b, the generators dividing b span a simplex;
-    the subcomplex of faces whose lcm divides b strictly is homotopy
-    equivalent to the upper Koszul complex at b, and its reduced homology
-    ranks (computed over exact rationals) are the multigraded Betti numbers.
-    Strong collapses (deleting a vertex whose maximal simplices all contain
-    some other vertex) shrink each complex before any matrix work; they are
-    homotopy equivalences, so the ranks are unchanged.
+    The generators are polarized first: x^e becomes the e lowest bits of a
+    block of bits for x, one bit per unit of x's largest exponent, so every
+    generator is a squarefree bitmask.  Polarization keeps the lcm lattice
+    and the Betti numbers (Herzog-Hibi, Monomial Ideals, 1.6).  For each
+    lattice element b the upper Koszul complex K^b has the variables of b as
+    vertices and one facet b minus g for each generator g dividing b; its
+    reduced homology H_{i-1} has rank beta_{i,b} (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, Thm 1.34).  Strong collapses (deleting
+    a vertex whose maximal simplices all contain some other vertex) shrink
+    each complex before any matrix work; they are homotopy equivalences, so
+    the ranks are unchanged.  Ranks come from exact integer elimination.
     """
     gens = ideal.sorted_generators()
     k = len(gens)
@@ -179,59 +182,65 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     if k > max_generators:
         raise TooLargeError(f"{k} generators exceeds the oracle limit {max_generators}")
 
-    variables = sorted({v for g in gens for v in g.variables()})
-    vpos = {v: i for i, v in enumerate(variables)}
-    dim = len(variables)
-    vecs = []
+    width: dict[VariableId, int] = {}
     for g in gens:
-        row = [0] * dim
         for v, e in g.items():
-            row[vpos[v]] = e
-        vecs.append(tuple(row))
+            width[v] = max(width.get(v, 0), e)
+    offset: dict[VariableId, int] = {}
+    shift = 0
+    for v in sorted(width):
+        offset[v] = shift
+        shift += width[v]
+    masks = [sum(((1 << e) - 1) << offset[v] for v, e in g.items()) for g in gens]
 
     betti: dict[int, int] = {}
-    for b in _lcm_lattice(vecs):
-        dividing = [
-            j for j in range(k) if all(vecs[j][t] <= b[t] for t in range(dim))
-        ]
-        masks = []
-        for t in range(dim):
-            if not b[t]:
-                continue
-            mask = 0
-            for pos, j in enumerate(dividing):
-                if vecs[j][t] < b[t]:
-                    mask |= 1 << pos
-            masks.append(mask)
-        for d, h in _union_homology(masks).items():
+    for b in _lcm_lattice(masks):
+        for d, h in _union_homology([b & ~g for g in masks if not g & ~b]).items():
             betti[d + 1] = betti.get(d + 1, 0) + h
 
     top = max(betti)
     return BettiTable(tuple(betti.get(i, 0) for i in range(top + 1)))
 
 
-def _lcm_lattice(vecs: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """All componentwise maxima of nonempty subsets of the given vectors."""
-    gens = list(vecs)
-    seen = set(gens)
-    frontier = gens
+# Largest lcm lattice the oracle enumerates; past it the oracle raises
+# TooLargeError rather than run out of memory.
+_LCM_LATTICE_CAP = 200_000
+
+
+def _lcm_lattice(masks: list[int]) -> set[int]:
+    """All unions of nonempty subsets of the given bitmasks."""
+    seen = set(masks)
+    frontier = list(seen)
     while frontier:
         new = []
         for b in frontier:
-            for g in gens:
-                l = tuple(map(max, b, g))
+            for g in masks:
+                l = b | g
                 if l not in seen:
                     seen.add(l)
                     new.append(l)
+            if len(seen) > _LCM_LATTICE_CAP:
+                raise TooLargeError(
+                    f"lcm lattice exceeds {_LCM_LATTICE_CAP} elements"
+                )
         frontier = new
     return seen
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: -bin(m).count("1"))
+    """The inclusion-maximal masks among the given ones, each once.
+
+    Distinct masks of equal size never contain one another, so each mask is
+    tested only against the kept masks of larger size.
+    """
     kept: list[int] = []
-    for m in uniq:
-        if not any(m & ~big == 0 for big in kept):
+    larger: list[int] = []
+    size = None
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = list(kept)
+        if all(m & ~big for big in larger):
             kept.append(m)
     return kept
 
@@ -239,38 +248,34 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
 def _union_homology(masks: list[int]) -> dict[int, int]:
     """Reduced rational homology ranks of a union of full simplices.
 
-    Input: one vertex bitmask per simplex (the empty face is always present).
-    Output: {dimension: rank} with zero ranks omitted; dimension -1 appears
-    exactly when the complex is the empty face alone.
+    Input: one vertex bitmask per simplex, at least one (the empty face is
+    always present).  Output: {dimension: rank} with zero ranks omitted;
+    dimension -1 appears exactly when the complex is the empty face alone.
+
+    Each sweep deletes every vertex v whose simplices all contain another
+    vertex still present (a strong collapse).  Deleting v leaves the other
+    vertices' simplices as they were, so one sweep can delete many vertices.
     """
     masks = _maximal_masks(masks)
     while True:
-        if not masks:
-            # No variables at all: only the degree-zero generator 1 does this.
-            return {-1: 1}
         if len(masks) == 1:
             return {} if masks[0] else {-1: 1}
-        common = masks[0]
-        for m in masks[1:]:
+        common, union = -1, 0
+        for m in masks:
             common &= m
+            union |= m
         if common:
             return {}
-        membership: dict[int, int] = {}
-        for idx, m in enumerate(masks):
-            mm = m
-            while mm:
-                bit = mm & -mm
-                membership[bit] = membership.get(bit, 0) | (1 << idx)
-                mm ^= bit
         doomed = 0
-        items = list(membership.items())
-        for v, sv in items:
-            for u, su in items:
-                if u != v and sv & ~su == 0:
-                    doomed = v
-                    break
-            if doomed:
-                break
+        while union:
+            v = union & -union
+            union ^= v
+            shared = ~(v | doomed)
+            for m in masks:
+                if m & v:
+                    shared &= m
+            if shared:
+                doomed |= v
         if not doomed:
             break
         masks = _maximal_masks(m & ~doomed for m in masks)
@@ -288,7 +293,7 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
 
     by_count: dict[int, list[int]] = {}
     for f in faces:
-        by_count.setdefault(bin(f).count("1"), []).append(f)
+        by_count.setdefault(f.bit_count(), []).append(f)
     top = max(by_count)
     index = {
         c: {f: i for i, f in enumerate(sorted(fs))} for c, fs in by_count.items()
@@ -298,14 +303,14 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
         lower = index[c - 1]
         rows = []
         for f in by_count[c]:
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             mm = f
-            i = 0
+            sign = 1
             while mm:
                 bit = mm & -mm
-                row[lower[f ^ bit]] = Fraction(1) if i % 2 == 0 else Fraction(-1)
+                row[lower[f ^ bit]] = sign
                 mm ^= bit
-                i += 1
+                sign = -sign
             rows.append(row)
         ranks[c] = rational_rank(rows)
 

@@ -207,6 +207,10 @@ def test_threads_env_variable(capsys, monkeypatch):
         (["kernel", "--blocks", "2,2", "--budget", "-1"], "--budget"),
         (["kernel", "--n", "4", "--dmax", "0"], "--dmax"),
         (["kernel", "--n", "4", "--dmax", "-1"], "--dmax"),
+        (["generators", "--blocks", "2,,3"], "--blocks"),
+        (["generators", "--blocks", ",3,3"], "--blocks"),
+        (["generators", "--blocks", "3,3,"], "--blocks"),
+        (["generators", "--blocks", "1_0"], "--blocks"),
     ],
 )
 def test_out_of_range_options_exit_two(capsys, argv, option):
@@ -215,6 +219,12 @@ def test_out_of_range_options_exit_two(capsys, argv, option):
     assert out == ""
     assert option in err
     assert "budget exhausted" not in err
+
+
+def test_blocks_allow_whitespace_around_parts(capsys):
+    want = run(capsys, "generators", "--blocks", "3,2", "--format", "json")
+    got = run(capsys, "generators", "--blocks", " 3 , 2 ", "--format", "json")
+    assert got == want and got[0] == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "two"])

@@ -1,5 +1,8 @@
 """Linear quotients, Betti numbers, and the independent homology oracle."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from matchfields import (
@@ -24,7 +27,9 @@ from matchfields import (
     yvar,
     zvar,
 )
+from matchfields import resolution
 from matchfields.errors import TooLargeError
+from matchfields.linalg import rational_rank
 
 
 def all_compositions(n):
@@ -201,3 +206,276 @@ def test_oracle_order_independence():
     i1 = MonomialIdeal(frozenset(gens))
     i2 = MonomialIdeal(frozenset(reversed(gens)))
     assert list(betti_oracle(i1)) == list(betti_oracle(i2))
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the direct algorithm: exponent tuples, one
+# complex per lattice element whose vertices are the dividing generators, and
+# Fraction rows eliminated over the rationals.
+# ---------------------------------------------------------------------------
+
+
+def reference_rational_rank(rows):
+    pivots = {}
+    rank = 0
+    for row in rows:
+        work = {c: Fraction(v) for c, v in row.items() if v}
+        while work:
+            c = min(work)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = 1 / work[c]
+                pivots[c] = {cc: vv * inv for cc, vv in work.items()}
+                rank += 1
+                break
+            factor = work[c]
+            for cc, vv in piv.items():
+                nv = work.get(cc, Fraction(0)) - factor * vv
+                if nv:
+                    work[cc] = nv
+                else:
+                    work.pop(cc, None)
+    return rank
+
+
+def reference_maximal_masks(masks):
+    uniq = sorted(set(masks), key=lambda m: -bin(m).count("1"))
+    kept = []
+    for m in uniq:
+        if not any(m & ~big == 0 for big in kept):
+            kept.append(m)
+    return kept
+
+
+def reference_union_homology(masks):
+    masks = reference_maximal_masks(masks)
+    while True:
+        if not masks:
+            return {-1: 1}
+        if len(masks) == 1:
+            return {} if masks[0] else {-1: 1}
+        common = masks[0]
+        for m in masks[1:]:
+            common &= m
+        if common:
+            return {}
+        membership = {}
+        for idx, m in enumerate(masks):
+            mm = m
+            while mm:
+                bit = mm & -mm
+                membership[bit] = membership.get(bit, 0) | (1 << idx)
+                mm ^= bit
+        doomed = 0
+        items = list(membership.items())
+        for v, sv in items:
+            for u, su in items:
+                if u != v and sv & ~su == 0:
+                    doomed = v
+                    break
+            if doomed:
+                break
+        if not doomed:
+            break
+        masks = reference_maximal_masks(m & ~doomed for m in masks)
+
+    faces = set()
+    for m in masks:
+        s = m
+        while True:
+            faces.add(s)
+            if not s:
+                break
+            s = (s - 1) & m
+    by_count = {}
+    for f in faces:
+        by_count.setdefault(bin(f).count("1"), []).append(f)
+    top = max(by_count)
+    index = {
+        c: {f: i for i, f in enumerate(sorted(fs))} for c, fs in by_count.items()
+    }
+    ranks = {}
+    for c in range(1, top + 1):
+        lower = index[c - 1]
+        rows = []
+        for f in by_count[c]:
+            row = {}
+            mm = f
+            i = 0
+            while mm:
+                bit = mm & -mm
+                row[lower[f ^ bit]] = Fraction(1) if i % 2 == 0 else Fraction(-1)
+                mm ^= bit
+                i += 1
+            rows.append(row)
+        ranks[c] = reference_rational_rank(rows)
+    out = {}
+    for c in range(top + 1):
+        h = len(by_count.get(c, ())) - ranks.get(c, 0) - ranks.get(c + 1, 0)
+        if h:
+            out[c - 1] = h
+    return out
+
+
+def reference_betti_oracle(ideal):
+    gens = ideal.sorted_generators()
+    k = len(gens)
+    variables = sorted({v for g in gens for v in g.variables()})
+    vpos = {v: i for i, v in enumerate(variables)}
+    dim = len(variables)
+    vecs = []
+    for g in gens:
+        row = [0] * dim
+        for v, e in g.items():
+            row[vpos[v]] = e
+        vecs.append(tuple(row))
+
+    lattice = set(vecs)
+    frontier = list(vecs)
+    while frontier:
+        new = []
+        for b in frontier:
+            for g in vecs:
+                l = tuple(map(max, b, g))
+                if l not in lattice:
+                    lattice.add(l)
+                    new.append(l)
+        frontier = new
+
+    betti = {}
+    for b in lattice:
+        dividing = [
+            j for j in range(k) if all(vecs[j][t] <= b[t] for t in range(dim))
+        ]
+        masks = []
+        for t in range(dim):
+            if not b[t]:
+                continue
+            mask = 0
+            for pos, j in enumerate(dividing):
+                if vecs[j][t] < b[t]:
+                    mask |= 1 << pos
+            masks.append(mask)
+        for d, h in reference_union_homology(masks).items():
+            betti[d + 1] = betti.get(d + 1, 0) + h
+    top = max(betti)
+    return [betti.get(i, 0) for i in range(top + 1)]
+
+
+N_RANDOM = 2
+RANDOM_VARIABLES = [f(i) for f in (xvar, yvar, zvar) for i in range(1, N_RANDOM + 1)]
+
+
+def random_ideal(rng):
+    """A minimalized ideal of 1-7 monomials in 6 variables, exponents <= 3."""
+    gens = []
+    for _ in range(rng.randint(1, 7)):
+        support = rng.sample(RANDOM_VARIABLES, rng.randint(1, 4))
+        gens.append(Monomial(N_RANDOM, {v: rng.randint(1, 3) for v in support}))
+    return MonomialIdeal.from_monomials(gens)
+
+
+def permute_variables(ideal, perm):
+    """The image of the ideal under the variable permutation perm."""
+    n = next(iter(ideal.generators)).n
+    return MonomialIdeal(
+        frozenset(
+            Monomial(n, {perm[v]: e for v, e in g.items()}) for g in ideal.generators
+        )
+    )
+
+
+def test_oracle_equals_reference_on_random_ideals():
+    rng = random.Random(20240401)
+    non_squarefree = 0
+    for _ in range(240):
+        ideal = random_ideal(rng)
+        non_squarefree += any(e > 1 for g in ideal.generators for _, e in g.items())
+        assert list(betti_oracle(ideal)) == reference_betti_oracle(ideal), ideal
+    assert non_squarefree >= 200
+
+
+def test_oracle_equals_reference_on_matching_ideals():
+    for parts in [(3, 2), (2, 2, 1), (1, 1, 1, 1), (4,)]:
+        ideal = matching_ideal(BlockStructure(parts))
+        assert list(betti_oracle(ideal)) == reference_betti_oracle(ideal), parts
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+
+def test_rational_rank_equals_reference_on_random_rows():
+    # Rational combinations of a few sparse rows: the rank depends on the
+    # exact values, not only on where the nonzeros are.
+    rng = random.Random(7)
+    for _ in range(200):
+        base = [
+            {c: random_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 5))}
+            for _ in range(rng.randint(0, 4))
+        ]
+        rows = list(base)
+        for _ in range(rng.randint(0, 4)):
+            combo = {}
+            for row in base:
+                f = random_fraction(rng)
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + f * v
+            rows.append(combo)
+        rng.shuffle(rows)
+        want = reference_rational_rank(rows)
+        assert want <= len(base)
+        assert rational_rank(rows) == want, rows
+
+
+def test_rational_rank_accepts_ints_and_fractions():
+    assert rational_rank([]) == 0
+    assert rational_rank([{0: 0}, {}]) == 0
+    assert rational_rank([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]) == 1
+    assert rational_rank([{0: 3, 1: -1}, {0: Fraction(1, 2), 2: 5}]) == 2
+
+
+def test_oracle_invariant_under_variable_relabeling():
+    rng = random.Random(5)
+    cases = [random_ideal(rng) for _ in range(60)]
+    cases += [matching_ideal(BlockStructure(p)) for p in [(3, 2), (2, 3), (1, 2, 2)]]
+    for ideal in cases:
+        n = next(iter(ideal.generators)).n
+        variables = [f(i) for f in (xvar, yvar, zvar) for i in range(1, n + 1)]
+        perm = dict(zip(variables, rng.sample(variables, len(variables))))
+        got = list(betti_oracle(permute_variables(ideal, perm)))
+        assert got == list(betti_oracle(ideal)), (ideal, perm)
+
+
+def test_lcm_lattice_cap_raises(monkeypatch):
+    ideal = matching_ideal(BlockStructure((5,)))
+    monkeypatch.setattr(resolution, "_LCM_LATTICE_CAP", 50)
+    with pytest.raises(TooLargeError, match="lcm lattice"):
+        betti_oracle(ideal)
+
+
+def certificate_table(parts):
+    n = sum(parts)
+    cert = linear_quotients_certificate(
+        [t.monomial(n) for t in sort_generators(BlockStructure(parts))]
+    )
+    return list(betti_from_certificate(cert))
+
+
+@pytest.mark.parametrize("parts", [(7,), (4, 3), (2, 3, 2), (1,) * 7])
+def test_oracle_matches_certificate_at_n7(parts):
+    got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=35)
+    assert list(got) == certificate_table(parts)
+
+
+@pytest.mark.slow
+def test_oracle_matches_certificate_all_structures_at_n7():
+    for parts in all_compositions(7):
+        got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=35)
+        assert list(got) == certificate_table(parts), parts
+
+
+@pytest.mark.slow
+def test_oracle_at_n8_matches_closed_form():
+    got = betti_oracle(matching_ideal(BlockStructure((4, 4))), max_generators=56)
+    assert list(got) == list(betti_diagonal_table(8)) == certificate_table((4, 4))
