@@ -30,9 +30,8 @@ from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, matching_ideal, sort_generators, weight_matrix
 from .resolution import betti_from_certificate, linear_quotients_certificate
 from .toric import (
-    flatness_check,
+    _kernel_and_flatness,
     format_plucker_exponents,
-    kernel_slice,
     plucker_map_from_matching_field,
     plucker_quadric_gr24,
 )
@@ -252,10 +251,10 @@ def _cmd_kernel(args) -> _Output:
     pmap = plucker_map_from_matching_field(a)
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
-    for d in range(1, args.dmax + 1):
-        ks = kernel_slice(pmap, d, budget=args.budget)
+    kernel, flat = _kernel_and_flatness(pmap, 3, a.n, args.dmax, args.budget)
+    for ks in kernel:
         entry = {
-            "degree": d,
+            "degree": ks.degree,
             "dimension": ks.dimension,
             "new_minimal_generators": ks.new_minimal_generators,
         }
@@ -266,10 +265,9 @@ def _cmd_kernel(args) -> _Output:
             ]
         slices.append(entry)
         text.append(
-            f"  degree {d}: kernel dimension {ks.dimension}, "
+            f"  degree {ks.degree}: kernel dimension {ks.dimension}, "
             f"new minimal generators {ks.new_minimal_generators}"
         )
-    flat = flatness_check(pmap, 3, a.n, args.dmax, budget=args.budget)
     result = {
         "slices": slices,
         "flatness_ok": flat.ok,

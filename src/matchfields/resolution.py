@@ -2,17 +2,18 @@
 
 Two independent routes to Betti numbers live here and deliberately share no
 code.  The certificate route checks the linear-quotient property along a
-given generator ordering and reads the Betti numbers off the colon-set sizes
-with a binomial-coefficient formula.  The oracle route computes multigraded
-Betti numbers directly as ranks of reduced simplicial homology of upper
-Koszul complexes, by exact integer elimination, one lcm-lattice element at a
-time, and knows nothing about quotient orderings.
+given generator ordering, on exponent vectors packed into ints, and reads
+the Betti numbers off the colon-set sizes with a binomial-coefficient
+formula (Herzog-Takayama, Resolutions by mapping cones).  The oracle route
+computes multigraded Betti numbers directly as ranks of reduced simplicial
+homology of upper Koszul complexes, by exact integer elimination, one
+lcm-lattice element at a time, and knows nothing about quotient orderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -79,29 +80,94 @@ class QuotientCertificate:
 
 
 def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertificate:
-    """Check the linear-quotient property along the given ordering."""
+    """Check the linear-quotient property along the given ordering.
+
+    The generators are packed into ints (see _pack_exponents).  The colon
+    <m_1..m_j> : m_{j+1} is generated by the quotients p / gcd(p, m_{j+1}),
+    each one saturating field-wise subtraction, and it is generated by
+    variables exactly when every quotient is divisible by a quotient of
+    degree 1.  At the first position where that fails, colon_by_monomial
+    supplies the witness: the first minimal colon generator of degree != 1.
+
+    Raises ValueError when the generators live over different ambient n, or
+    when one of them repeats or divides another.
+    """
     gens = tuple(ordered)
-    for g in gens:
-        for h in gens:
-            if g is not h and g.divides(h):
-                raise ValueError(f"{g} divides {h}: not a minimal generating set")
+    if len({g.n for g in gens}) > 1:
+        raise ValueError("monomials live over different ambient n")
+    packed, units, guards, bits = _pack_exponents(gens)
+    _check_minimal(gens, packed, guards)
+    field = (1 << bits) - 1
     sets: list[frozenset[VariableId]] = []
-    for j, m in enumerate(gens):
-        colon = colon_by_monomial(gens[:j], m)
-        vs: list[VariableId] = []
-        for q in colon.sorted_generators():
-            if q.degree != 1:
-                return QuotientCertificate(
-                    ordered=gens,
-                    sets=tuple(sets),
-                    is_linear=False,
-                    first_failure=(j, q),
-                )
-            vs.append(q.variables()[0])
-        sets.append(frozenset(vs))
+    for j, m in enumerate(packed):
+        variables: list[VariableId] = []
+        covered = 0  # the fields of the degree-1 quotients
+        others: list[int] = []
+        for p in packed[:j]:
+            # A field keeps its guard bit exactly where p's exponent is at
+            # least m's; masking the other fields to 0 leaves max(p - m, 0).
+            t = (p | guards) - m
+            keep = t & guards
+            q = t & (keep - (keep >> bits))
+            v = units.get(q)
+            if v is None:
+                others.append(q)
+            else:
+                variables.append(v)
+                covered |= q * field
+        if not all(q & covered for q in others):
+            for q in colon_by_monomial(gens[:j], gens[j]).sorted_generators():
+                if q.degree != 1:
+                    return QuotientCertificate(
+                        ordered=gens,
+                        sets=tuple(sets),
+                        is_linear=False,
+                        first_failure=(j, q),
+                    )
+        sets.append(frozenset(variables))
     return QuotientCertificate(
         ordered=gens, sets=tuple(sets), is_linear=True, first_failure=None
     )
+
+
+def _pack_exponents(
+    gens: Sequence[Monomial],
+) -> tuple[list[int], dict[int, VariableId], int, int]:
+    """Each exponent vector packed into one int.
+
+    Every variable, in sorted order, gets a field of `bits` bits, enough
+    for the largest exponent, with a guard bit above it.  Returns the packed
+    generators, the map from each variable's unit (its field holding 1) to
+    the variable, the mask of all guard bits, and `bits`.
+    """
+    variables = sorted({v for g in gens for v in g.variables()})
+    bits = max((e for g in gens for _, e in g.items()), default=1).bit_length()
+    offset = {v: i * (bits + 1) for i, v in enumerate(variables)}
+    packed = [sum(e << offset[v] for v, e in g.items()) for g in gens]
+    units = {1 << o: v for v, o in offset.items()}
+    guards = sum(1 << (o + bits) for o in offset.values())
+    return packed, units, guards, bits
+
+
+def _check_minimal(gens: Sequence[Monomial], packed: list[int], guards: int) -> None:
+    """Raise ValueError unless the generators are distinct and none divides
+    another.  g divides h exactly when ((h | guards) - g) keeps every guard
+    bit; a proper divisor has a smaller degree, so only pairs of unequal
+    degree need that test."""
+    seen: set[int] = set()
+    for g, p in zip(gens, packed):
+        if p in seen:
+            raise ValueError(f"{g} occurs twice: not a minimal generating set")
+        seen.add(p)
+    by_degree = sorted(zip(gens, packed), key=lambda gp: gp[0].degree)
+    lower: list[tuple[Monomial, int]] = []
+    for _, group in groupby(by_degree, key=lambda gp: gp[0].degree):
+        group = list(group)
+        for h, ph in group:
+            for g, pg in lower:
+                if ((ph | guards) - pg) & guards == guards:
+                    raise ValueError(f"{g} divides {h}: not a minimal generating set")
+        lower.extend(group)
 
 
 def betti_from_variable_sets(sets: Sequence[frozenset[VariableId]]) -> BettiTable:

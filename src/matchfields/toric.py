@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
 from .errors import TooLargeError, UnknownVariableError
@@ -161,8 +161,9 @@ def _spanning_binomials(
     return out
 
 
-def _rank_from_below(pmap: PluckerMap, d: int, budget: int) -> int:
-    """Rank of the degree-(d-1) kernel times the variables, in degree d.
+def _rank_from_below(below: dict[int, list[Combo]], s: int, d: int) -> int:
+    """Rank of the degree-(d-1) kernel times the variables, in degree d,
+    from the degree-(d-1) fibres below over s Pluecker variables.
 
     This is all of the degree-d kernel that lower degrees reach, because
     K_{d2} * S_{d-1-d2} lies in K_{d-1} for every d2 < d.  Each row
@@ -172,10 +173,8 @@ def _rank_from_below(pmap: PluckerMap, d: int, budget: int) -> int:
     Monomials are keyed by their exponent vectors, packed d.bit_length()
     bits a field.
     """
-    if d == 1:
-        return 0
     width = d.bit_length()
-    unit = [1 << (width * i) for i in range(len(pmap.source))]
+    unit = [1 << (width * i) for i in range(s)]
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -184,7 +183,7 @@ def _rank_from_below(pmap: PluckerMap, d: int, budget: int) -> int:
         return x
 
     merges = 0
-    for members in _fibres(pmap, d - 1, budget).values():
+    for members in below.values():
         keys = [sum(unit[i] for i in combo) for combo in members]
         root = keys.pop()
         for other in keys:
@@ -215,14 +214,22 @@ class KernelSlice:
 def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice:
     if d < 1:
         raise ValueError("degree must be at least 1")
-    s = len(pmap.source)
     fibres = _fibres(pmap, d, budget)
+    below = _fibres(pmap, d - 1, budget) if d > 1 else {}
+    return _slice(pmap, d, fibres, below)
+
+
+def _slice(
+    pmap: PluckerMap, d: int, fibres: dict[int, list[Combo]], below: dict[int, list[Combo]]
+) -> KernelSlice:
+    """The degree-d slice from the fibres of degree d and d - 1."""
+    s = len(pmap.source)
     dimension = comb(s + d - 1, d) - len(fibres)
     return KernelSlice(
         degree=d,
         dimension=dimension,
         binomials=tuple(_spanning_binomials(fibres, s)),
-        new_minimal_generators=dimension - _rank_from_below(pmap, d, budget),
+        new_minimal_generators=dimension - _rank_from_below(below, s, d),
     )
 
 
@@ -259,15 +266,30 @@ def flatness_check(
     """Check the map's image has the same size in each degree <= dmax as the
     space of semistandard rectangle fillings, i.e. the degeneration does not
     change the Hilbert function."""
-    rows = []
-    ok = True
-    for d in range(0, dmax + 1):
-        distinct = len(_fibres(pmap, d, budget)) if d else 1
-        expected = hilbert_dim_rect(k, n, d)
-        rows.append((d, distinct, expected))
-        if distinct != expected:
-            ok = False
-    return FlatnessReport(ok=ok, rows=tuple(rows))
+    sizes = (len(_fibres(pmap, d, budget)) if d else 1 for d in range(dmax + 1))
+    return _flatness(k, n, sizes)
+
+
+def _flatness(k: int, n: int, sizes: Iterable[int]) -> FlatnessReport:
+    """The flatness report from the distinct image counts of degree 0, 1, ..."""
+    rows = tuple((d, got, hilbert_dim_rect(k, n, d)) for d, got in enumerate(sizes))
+    return FlatnessReport(ok=all(got == want for _, got, want in rows), rows=rows)
+
+
+def _kernel_and_flatness(
+    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int
+) -> tuple[list[KernelSlice], FlatnessReport]:
+    """kernel_slice for d = 1..dmax and flatness_check to dmax, building
+    each degree's fibres once."""
+    slices = []
+    sizes = [1]
+    below: dict[int, list[Combo]] = {}
+    for d in range(1, dmax + 1):
+        fibres = _fibres(pmap, d, budget)
+        slices.append(_slice(pmap, d, fibres, below))
+        sizes.append(len(fibres))
+        below = fibres
+    return slices, _flatness(k, n, sizes)
 
 
 def plucker_variable_name(subset: Subset) -> str:

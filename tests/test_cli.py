@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from matchfields import __version__, hilbert_dim_rect
+from matchfields import __version__, hilbert_dim_rect, toric
 from matchfields.cli import main
 
 
@@ -155,6 +159,20 @@ def test_kernel_json_n8_to_degree_three(capsys):
     assert result["flatness_ok"] is True
 
 
+def test_kernel_builds_each_degree_once(capsys, monkeypatch):
+    calls = []
+    fibres = toric._fibres
+
+    def counted(pmap, d, budget):
+        calls.append(d)
+        return fibres(pmap, d, budget)
+
+    monkeypatch.setattr(toric, "_fibres", counted)
+    code, _, _ = run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")
+    assert code == 0
+    assert calls == [1, 2, 3]
+
+
 def test_supports_text_and_json(capsys):
     code, out, _ = run(capsys, "supports", "--plucker-quadric", "2", "4")
     assert code == 0
@@ -240,3 +258,16 @@ def test_zero_budget_is_a_budget_not_an_input_error(capsys):
     code, _, err = run(capsys, "verify", "--blocks", "2,2", "--budget", "0")
     assert code == 2
     assert "budget exhausted" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchfields", "--version"],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert __version__ in proc.stdout

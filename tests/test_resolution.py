@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from matchfields import (
     Monomial,
     MonomialIdeal,
     NotLinearQuotientsError,
+    QuotientCertificate,
     betti_diagonal_closed_form,
     betti_diagonal_table,
     betti_from_certificate,
@@ -479,3 +481,106 @@ def test_oracle_matches_certificate_all_structures_at_n7():
 def test_oracle_at_n8_matches_closed_form():
     got = betti_oracle(matching_ideal(BlockStructure((4, 4))), max_generators=56)
     assert list(got) == list(betti_diagonal_table(8)) == certificate_table((4, 4))
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the certificate against the direct algorithm on
+# dict Monomials: each colon minimalized by MonomialIdeal, its generators
+# read in sorted order.
+# ---------------------------------------------------------------------------
+
+
+def reference_certificate(ordered):
+    """The certificate by explicit colon ideals; ordered must be minimal."""
+    gens = tuple(ordered)
+    sets = []
+    for j, m in enumerate(gens):
+        colon = colon_by_monomial(gens[:j], m)
+        vs = []
+        for q in colon.sorted_generators():
+            if q.degree != 1:
+                return QuotientCertificate(gens, tuple(sets), False, (j, q))
+            vs.append(q.variables()[0])
+        sets.append(frozenset(vs))
+    return QuotientCertificate(gens, tuple(sets), True, None)
+
+
+def test_certificate_equals_reference_on_all_compositions_through_n7():
+    rng = random.Random(20241018)
+    non_linear = 0
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            gens = [t.monomial(n) for t in sort_generators(BlockStructure(parts))]
+            orders = [gens, gens[::-1]] + [rng.sample(gens, len(gens)) for _ in range(3)]
+            for ordered in orders:
+                cert = linear_quotients_certificate(ordered)
+                assert cert == reference_certificate(ordered), (parts, ordered)
+                non_linear += not cert.is_linear
+    assert non_linear > 300
+
+
+def random_minimal_sequence(rng):
+    """A minimal generating set in 2-4 variables, exponents <= 3, in random
+    order.  Half of the cases take all monomials of one degree with exponents
+    <= 3 in lex order, or an initial segment of them, which has linear
+    quotients with colon generators of every exponent."""
+    variables = rng.sample(RANDOM_VARIABLES, rng.randint(2, 4))
+    if rng.random() < 0.5:
+        d = rng.randint(2, 5)
+        gens = [
+            Monomial(N_RANDOM, dict(zip(variables, es)))
+            for es in product(range(3, -1, -1), repeat=len(variables))
+            if sum(es) == d
+        ]
+        gens = gens[: rng.randint(1, len(gens))]
+        if rng.random() < 0.5:
+            rng.shuffle(gens)
+        return gens
+    monomials = [
+        Monomial(N_RANDOM, {v: rng.randint(0, 3) for v in variables})
+        for _ in range(rng.randint(2, 12))
+    ]
+    gens = list(MonomialIdeal.from_monomials(m for m in monomials if not m.is_one).generators)
+    rng.shuffle(gens)
+    return gens
+
+
+def test_certificate_equals_reference_on_random_minimal_sets():
+    rng = random.Random(5)
+    linear = non_linear = wide = 0
+    for _ in range(300):
+        ordered = random_minimal_sequence(rng)
+        cert = linear_quotients_certificate(ordered)
+        assert cert == reference_certificate(ordered), ordered
+        wide += any(e > 1 for g in ordered for _, e in g.items())
+        if cert.is_linear:
+            linear += len(ordered) > 2
+        else:
+            non_linear += 1
+    assert min(linear, non_linear) > 50 and wide > 250
+
+
+def test_certificate_rejects_a_repeated_generator():
+    n = 1
+    x = Monomial.of(n, xvar(1))
+    with pytest.raises(ValueError):
+        linear_quotients_certificate([x, x])
+    with pytest.raises(ValueError):
+        linear_quotients_certificate([x, Monomial.of(n, xvar(1))])
+
+
+def test_certificate_rejects_mixed_ambient_n():
+    with pytest.raises(ValueError):
+        linear_quotients_certificate([Monomial.of(1, xvar(1)), Monomial.of(2, yvar(1))])
+
+
+def test_all_structures_at_n8_have_linear_quotients():
+    for parts in all_compositions(8):
+        assert certificate_table(parts) == list(betti_diagonal_table(8)), parts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [9, 10])
+def test_all_structures_at_n9_n10_have_linear_quotients(n):
+    for parts in all_compositions(n):
+        assert certificate_table(parts) == list(betti_diagonal_table(n)), parts

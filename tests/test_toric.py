@@ -25,6 +25,7 @@ from matchfields import (
     yvar,
     zvar,
 )
+from matchfields import toric
 from matchfields.linalg import rational_rank
 
 
@@ -165,6 +166,15 @@ def test_flatness_all_structures_n5_n6():
             assert rep.ok, (parts, rep.rows)
             assert rep.rows[0] == (0, 1, 1)
             assert rep.rows[1][1] == len(pm.source)
+
+
+def test_shared_slices_equal_kernel_slice_and_flatness_check():
+    for parts in [(4,), (2, 3), (1, 2, 1, 1)]:
+        n = sum(parts)
+        pm = plucker_map_from_matching_field(BlockStructure(parts))
+        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, 500_000)
+        assert slices == [kernel_slice(pm, d) for d in (1, 2, 3)], parts
+        assert flat == flatness_check(pm, 3, n, 3), parts
 
 
 def test_flatness_fails_for_a_non_injective_map():
