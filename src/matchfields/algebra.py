@@ -310,7 +310,7 @@ class WeightOrder:
     and the monomial with the smaller exponent there is the greater one.
     """
 
-    __slots__ = ("n", "weights", "precedence", "_pos", "_rev", "_key_cache")
+    __slots__ = ("n", "weights", "precedence", "_rev")
 
     def __init__(
         self,
@@ -332,9 +332,7 @@ class WeightOrder:
         self.n = n
         self.weights = ww
         self.precedence = prec
-        self._pos = {v: i for i, v in enumerate(prec)}
         self._rev = tuple(reversed(prec))
-        self._key_cache: dict[Monomial, tuple] = {}
 
     def weight(self, m: Monomial) -> int:
         if m.n != self.n:
@@ -344,16 +342,8 @@ class WeightOrder:
 
     def key(self, m: Monomial) -> tuple:
         """Sort key: m1 precedes m2 in the order iff key(m1) < key(m2)."""
-        k = self._key_cache.get(m)
-        if k is None:
-            exp = m.exponent
-            k = (
-                self.weight(m),
-                m.degree,
-                tuple(-exp(v) for v in self._rev),
-            )
-            self._key_cache[m] = k
-        return k
+        exp = m.exponent
+        return (self.weight(m), m.degree, tuple(-exp(v) for v in self._rev))
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -275,10 +276,11 @@ def _cmd_kernel(args) -> _Output:
     }
     for d, got, want in flat.rows:
         text.append(f"  degree {d}: {got} distinct images, rectangle dimension {want}")
+    dims = f"the rectangle dimensions up to degree {args.dmax}"
     text.append(
-        "Hilbert function matches the rectangle dimensions"
+        f"Hilbert function matches {dims}"
         if flat.ok
-        else "FAIL: Hilbert function differs from the rectangle dimensions"
+        else f"FAIL: Hilbert function differs from {dims}"
     )
     return _Output(flat.ok, _input_dict(a, None, None), result, text)
 
@@ -318,6 +320,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchfields",

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from ._packed import Layout
 from .algebra import (
     Monomial,
     Polynomial,
@@ -31,14 +32,11 @@ from .linalg import homogeneous_feasible
 from .matching import BlockStructure, generator, matching_ideal, weight_matrix
 
 
-class _Packing:
+class _Packing(Layout):
     """Monomials of one WeightOrder packed into single ints.
 
-    Each variable has a field just wide enough for `bound`, with a guard bit
-    above it, placed along the precedence with the least variable most
-    significant; a degree field and, on top, a weight field follow.  A product is the
-    sum of packed ints and a cofactor their difference, and lm divides m
-    exactly when ((m | guards) - lm) & guards == guards.
+    The Layout's fields run along the precedence, the least variable most
+    significant, and then hold the degree and, on top, the weight.
 
     The division itself works on order keys key(p) = p - 2 * (p & exp_mask):
     ints that compare as the order does (weight, then degree, then
@@ -49,31 +47,26 @@ class _Packing:
     also bounds the degree and each exponent.
     """
 
-    __slots__ = ("n", "bound", "variables", "pos", "weights", "field", "width",
-                 "deg_shift", "exp_mask", "guards")
+    __slots__ = ("n", "bound", "deg_shift", "exp_mask", "vectors")
 
     def __init__(self, order: WeightOrder, bound: int):
-        bits = max(bound, 1).bit_length()
+        super().__init__((*order.precedence, "degree", "weight"), bound)
         self.n = order.n
         self.bound = bound
-        self.variables = order.precedence
-        self.pos = {v: i for i, v in enumerate(self.variables)}
-        self.weights = order.weights
-        self.field = (1 << bits) - 1
-        self.width = bits + 1
-        self.deg_shift = len(self.variables) * self.width
+        self.deg_shift = self.offset["degree"]
         self.exp_mask = (1 << self.deg_shift) - 1
-        fields = len(self.variables) + 2
-        self.guards = sum(1 << f * self.width + bits for f in range(fields))
+        # Each variable packed: its unit, a degree of 1 and its weight.
+        degree, weight = 1 << self.deg_shift, 1 << self.offset["weight"]
+        self.vectors = {
+            v: (1 << self.offset[v]) + degree + w * weight for v, w in order.weights.items()
+        }
 
     def pack(self, m: Monomial) -> int:
-        p = weight = 0
-        for v, e in m.items():
-            p += e << self.pos[v] * self.width
-            weight += self.weights[v] * e
-        if max(weight, m.degree) > self.bound:
+        p = sum(e * self.vectors[v] for v, e in m.items())
+        # The weight field is on top, and it bounds the others.
+        if p >> self.deg_shift + self.width > self.bound:
             raise OverflowError(f"{m!r} does not fit the packing bound {self.bound}")
-        return p + (m.degree << self.deg_shift) + (weight << self.deg_shift + self.width)
+        return p
 
     def key(self, p: int) -> int:
         return p - 2 * (p & self.exp_mask)
@@ -81,35 +74,28 @@ class _Packing:
     def packed(self, k: int) -> int:
         return k + 2 * (-k & self.exp_mask)
 
-    def exponents(self, p: int) -> list[int]:
-        """Exponents of packed p along the precedence."""
-        return [p >> i * self.width & self.field for i in range(len(self.variables))]
-
     def support(self, p: int) -> int:
         """Bit i is set when the variable at precedence position i occurs."""
-        return sum(1 << i for i, e in enumerate(self.exponents(p)) if e)
+        return sum(1 << i for i, e in enumerate(self.exponents(p & self.exp_mask)) if e)
 
     def lcm(self, a: int, b: int, common: int) -> tuple[int, int]:
         """Packed lcm of packed a and b, and its degree; common is the
         intersection of their supports."""
-        field, width = self.field, self.width
-        gcd = degree = weight = 0
+        field, width, vectors, variables = self.field, self.width, self.vectors, self.variables
+        gcd = 0
         while common:
             low = common & -common
             i = low.bit_length() - 1
-            e = min(a >> i * width & field, b >> i * width & field)
-            gcd += e << i * width
-            degree += e
-            weight += self.weights[self.variables[i]] * e
+            gcd += min(a >> i * width & field, b >> i * width & field) * vectors[variables[i]]
             common ^= low
-        l = a + b - gcd - (degree << self.deg_shift) - (weight << self.deg_shift + width)
+        l = a + b - gcd
         return l, l >> self.deg_shift & field
 
     def polynomial(self, work: Mapping[int, Fraction | int]) -> Polynomial:
         """The Polynomial of {key: coefficient}."""
         terms = {}
         for k, c in work.items():
-            exps = self.exponents(self.packed(k))
+            exps = self.exponents(self.packed(k) & self.exp_mask)
             terms[Monomial(self.n, {v: e for v, e in zip(self.variables, exps) if e})] = c
         return Polynomial(self.n, terms)
 

@@ -12,10 +12,10 @@ generators are the combinatorial core of everything else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from ._packed import pack_minimal
 from .algebra import Monomial, VariableId, WeightOrder, xvar, yvar, zvar
 from .errors import (
     InvalidSubsetError,
@@ -123,21 +123,7 @@ class MonomialIdeal:
     generators: frozenset[Monomial]
 
     def __post_init__(self):
-        gens = self.generators
-        ns = {g.n for g in gens}
-        if len(ns) > 1:
-            raise ValueError("generators live over different ambient n")
-        # A proper divisor has a smaller degree, and the generators are
-        # distinct, so only pairs of unequal degree need a test.
-        degree = attrgetter("degree")
-        lower: list[Monomial] = []
-        for _, group in groupby(sorted(gens, key=degree), key=degree):
-            group = list(group)
-            for h in group:
-                for g in lower:
-                    if g.divides(h):
-                        raise ValueError(f"{g} divides {h}: generating set not minimal")
-            lower.extend(group)
+        pack_minimal(self.generators)  # raises ValueError unless minimal
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "MonomialIdeal":

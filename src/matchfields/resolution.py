@@ -13,10 +13,11 @@ lcm-lattice element at a time, and knows nothing about quotient orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
+from ._packed import pack_minimal
 from .algebra import Monomial, VariableId, xvar, yvar, zvar
 from .errors import NotLinearQuotientsError, TooLargeError
 from .linalg import rational_rank
@@ -82,7 +83,7 @@ class QuotientCertificate:
 def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertificate:
     """Check the linear-quotient property along the given ordering.
 
-    The generators are packed into ints (see _pack_exponents).  The colon
+    The generators are packed into ints (see _packed.pack_minimal).  The colon
     <m_1..m_j> : m_{j+1} is generated by the quotients p / gcd(p, m_{j+1}),
     each one saturating field-wise subtraction, and it is generated by
     variables exactly when every quotient is divisible by a quotient of
@@ -93,22 +94,14 @@ def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertifi
     when one of them repeats or divides another.
     """
     gens = tuple(ordered)
-    if len({g.n for g in gens}) > 1:
-        raise ValueError("monomials live over different ambient n")
-    packed, units, guards, bits = _pack_exponents(gens)
-    _check_minimal(gens, packed, guards)
-    field = (1 << bits) - 1
+    layout, packed = pack_minimal(gens)
+    units, field, monus = layout.units, layout.field, layout.monus
     sets: list[frozenset[VariableId]] = []
     for j, m in enumerate(packed):
         variables: list[VariableId] = []
         covered = 0  # the fields of the degree-1 quotients
         others: list[int] = []
-        for p in packed[:j]:
-            # A field keeps its guard bit exactly where p's exponent is at
-            # least m's; masking the other fields to 0 leaves max(p - m, 0).
-            t = (p | guards) - m
-            keep = t & guards
-            q = t & (keep - (keep >> bits))
+        for q in monus(packed[:j], m):
             v = units.get(q)
             if v is None:
                 others.append(q)
@@ -128,46 +121,6 @@ def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertifi
     return QuotientCertificate(
         ordered=gens, sets=tuple(sets), is_linear=True, first_failure=None
     )
-
-
-def _pack_exponents(
-    gens: Sequence[Monomial],
-) -> tuple[list[int], dict[int, VariableId], int, int]:
-    """Each exponent vector packed into one int.
-
-    Every variable, in sorted order, gets a field of `bits` bits, enough
-    for the largest exponent, with a guard bit above it.  Returns the packed
-    generators, the map from each variable's unit (its field holding 1) to
-    the variable, the mask of all guard bits, and `bits`.
-    """
-    variables = sorted({v for g in gens for v in g.variables()})
-    bits = max((e for g in gens for _, e in g.items()), default=1).bit_length()
-    offset = {v: i * (bits + 1) for i, v in enumerate(variables)}
-    packed = [sum(e << offset[v] for v, e in g.items()) for g in gens]
-    units = {1 << o: v for v, o in offset.items()}
-    guards = sum(1 << (o + bits) for o in offset.values())
-    return packed, units, guards, bits
-
-
-def _check_minimal(gens: Sequence[Monomial], packed: list[int], guards: int) -> None:
-    """Raise ValueError unless the generators are distinct and none divides
-    another.  g divides h exactly when ((h | guards) - g) keeps every guard
-    bit; a proper divisor has a smaller degree, so only pairs of unequal
-    degree need that test."""
-    seen: set[int] = set()
-    for g, p in zip(gens, packed):
-        if p in seen:
-            raise ValueError(f"{g} occurs twice: not a minimal generating set")
-        seen.add(p)
-    by_degree = sorted(zip(gens, packed), key=lambda gp: gp[0].degree)
-    lower: list[tuple[Monomial, int]] = []
-    for _, group in groupby(by_degree, key=lambda gp: gp[0].degree):
-        group = list(group)
-        for h, ph in group:
-            for g, pg in lower:
-                if ((ph | guards) - pg) & guards == guards:
-                    raise ValueError(f"{g} divides {h}: not a minimal generating set")
-        lower.extend(group)
 
 
 def betti_from_variable_sets(sets: Sequence[frozenset[VariableId]]) -> BettiTable:

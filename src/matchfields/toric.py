@@ -5,7 +5,8 @@ multiplicatively gives a monomial map from the polynomial ring on Pluecker
 variables.  Its kernel is spanned degree by degree by differences of
 monomials with equal image.  Comparing the number of distinct images with
 the dimension of the corresponding space of bivariate/trivariate tableaux
-tests that all these degenerations share one Hilbert function.
+tests that the Hilbert functions agree in every degree <= dmax, a finite
+check.
 
 The slices work on integer image codes: each image's exponent vector is
 packed into one int, with fields wide enough that a product of d images
@@ -23,6 +24,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Iterable, Mapping
 
+from ._packed import Layout
 from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
 from .errors import TooLargeError, UnknownVariableError
 from .matching import BlockStructure, generator
@@ -108,10 +110,9 @@ def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
     are equal.
     """
     variables = sorted({v for m in pmap.images for v in m.variables()})
-    field = {v: i for i, v in enumerate(variables)}
     top = max((e for m in pmap.images for _, e in m.items()), default=0)
-    width = (d * top).bit_length() + 1
-    return [sum(e << (width * field[v]) for v, e in m.items()) for m in pmap.images]
+    layout = Layout(variables, d * top)
+    return [layout.pack(m) for m in pmap.images]
 
 
 def _fibres(pmap: PluckerMap, d: int, budget: int) -> dict[int, list[Combo]]:
@@ -170,11 +171,10 @@ def _rank_from_below(below: dict[int, list[Combo]], s: int, d: int) -> int:
     e_p - e_q joins two degree-d monomials, so the rank is the number of
     vertices less the number of components of the graph these edges span:
     the count of successful union-find merges, which is exact over Q.
-    Monomials are keyed by their exponent vectors, packed d.bit_length()
-    bits a field.
+    Monomials are keyed by their exponent vectors, packed with fields that
+    hold values up to d.
     """
-    width = d.bit_length()
-    unit = [1 << (width * i) for i in range(s)]
+    unit = list(Layout(range(s), d).units)
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -264,8 +264,8 @@ def flatness_check(
     pmap: PluckerMap, k: int, n: int, dmax: int, budget: int = 500_000
 ) -> FlatnessReport:
     """Check the map's image has the same size in each degree <= dmax as the
-    space of semistandard rectangle fillings, i.e. the degeneration does not
-    change the Hilbert function."""
+    space of semistandard rectangle fillings: the Hilbert functions agree in
+    every degree <= dmax, a finite check."""
     sizes = (len(_fibres(pmap, d, budget)) if d else 1 for d in range(dmax + 1))
     return _flatness(k, n, sizes)
 

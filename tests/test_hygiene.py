@@ -1,0 +1,52 @@
+"""Every private helper of the package is used somewhere in it."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "matchfields"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _definitions(tree):
+    """(name, node) of each module-level private name and private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield sub.name, sub
+
+
+def _uses(node, skip):
+    """Names read, attributes loaded and names imported, outside skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, skip)
+
+
+def test_every_private_name_is_used_outside_its_definition():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if _is_private(name) and not any(
+                name in _uses(other, node) for other in trees.values()
+            ):
+                unused.append(f"{module}: {name}")
+    assert unused == []

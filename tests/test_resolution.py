@@ -584,3 +584,27 @@ def test_all_structures_at_n8_have_linear_quotients():
 def test_all_structures_at_n9_n10_have_linear_quotients(n):
     for parts in all_compositions(n):
         assert certificate_table(parts) == list(betti_diagonal_table(n)), parts
+
+
+def _names_in(fn):
+    """Every global, attribute and import name the code of fn refers to."""
+    names, stack = set(), [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    return names
+
+
+def test_certificate_and_oracle_share_no_code():
+    oracle = [
+        resolution.betti_oracle,
+        resolution._lcm_lattice,
+        resolution._maximal_masks,
+        resolution._union_homology,
+    ]
+    for fn in oracle:
+        assert not _names_in(fn) & {"_packed", "Layout", "pack_minimal", "monus"}
+    helpers = {fn.__name__ for fn in oracle} | {"rational_rank"}
+    assert not _names_in(resolution.linear_quotients_certificate) & helpers
+    assert "pack_minimal" in _names_in(resolution.linear_quotients_certificate)
