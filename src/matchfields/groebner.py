@@ -8,7 +8,7 @@ matching ideal's generating set.  The three checks are reported separately.
 
 Division runs on packed monomials (one int each, see _Packing) with int
 coefficients wherever the basis allows; Monomial and Polynomial objects are
-made only for the results handed back to the caller.
+made only for the results and failure messages handed back to the caller.
 """
 
 from __future__ import annotations
@@ -16,20 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._packed import Layout
 from .algebra import (
+    _ARRANGEMENTS,
+    FAMILIES,
     Monomial,
     Polynomial,
     VariableId,
     WeightOrder,
-    leading_monomial,
-    minor_expand,
 )
 from .errors import BudgetExceededError, TooLargeError, ZeroPolynomialError
 from .linalg import homogeneous_feasible
-from .matching import BlockStructure, generator, matching_ideal, weight_matrix
+from .matching import BlockStructure, generator_triples, matching_ideal, weight_matrix
 
 
 class _Packing(Layout):
@@ -63,10 +63,17 @@ class _Packing(Layout):
 
     def pack(self, m: Monomial) -> int:
         p = sum(e * self.vectors[v] for v, e in m.items())
-        # The weight field is on top, and it bounds the others.
-        if p >> self.deg_shift + self.width > self.bound:
+        if self.weight(p) > self.bound:
             raise OverflowError(f"{m!r} does not fit the packing bound {self.bound}")
         return p
+
+    def terms(self, f: Polynomial) -> list[tuple[int, Fraction | int]]:
+        """f's terms as (packed monomial, coefficient), integral ones as ints."""
+        return [(self.pack(m), c.numerator if c.denominator == 1 else c) for c, m in f.terms()]
+
+    def weight(self, p: int) -> int:
+        """The weight of packed p: its top field, which bounds the others."""
+        return p >> self.offset["weight"]
 
     def key(self, p: int) -> int:
         return p - 2 * (p & self.exp_mask)
@@ -91,13 +98,14 @@ class _Packing(Layout):
         l = a + b - gcd
         return l, l >> self.deg_shift & field
 
+    def monomial(self, p: int) -> Monomial:
+        """The Monomial of packed p."""
+        exps = self.exponents(p & self.exp_mask)
+        return Monomial(self.n, {v: e for v, e in zip(self.variables, exps) if e})
+
     def polynomial(self, work: Mapping[int, Fraction | int]) -> Polynomial:
         """The Polynomial of {key: coefficient}."""
-        terms = {}
-        for k, c in work.items():
-            exps = self.exponents(self.packed(k) & self.exp_mask)
-            terms[Monomial(self.n, {v: e for v, e in zip(self.variables, exps) if e})] = c
-        return Polynomial(self.n, terms)
+        return Polynomial(self.n, {self.monomial(self.packed(k)): c for k, c in work.items()})
 
 
 def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
@@ -106,31 +114,25 @@ def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
     )
 
 
-def _coefficient(c: Fraction) -> Fraction | int:
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Divider:
     """A basis packed for division, with one step budget for all its calls.
 
-    Row i holds basis[i] as (packed lm, key of lm, 1/lc, tail), the tail
-    being its other terms as (key, coefficient).  1/lc is an int when lc is
+    Basis element i comes as its terms (packed monomial, coefficient); row i
+    holds it as (packed lm, key of lm, 1/lc, tail), the tail being its other
+    terms as (key, coefficient), greatest first.  1/lc is an int when lc is
     +-1, so integral input stays in ints; otherwise it is a Fraction.
     """
 
     __slots__ = ("packing", "rows", "leads", "remaining")
 
-    def __init__(self, basis: Sequence[Polynomial], packing: _Packing, budget: Optional[int]):
+    def __init__(self, basis: Iterable[list], packing: _Packing, budget: Optional[int]):
         self.packing = packing
         self.rows = []
         self.leads: dict[int, tuple] = {}
-        for g in basis:
-            if g.is_zero:
+        for terms in basis:
+            if not terms:
                 raise ZeroPolynomialError("basis contains the zero polynomial")
-            terms = sorted(
-                ((packing.key(packing.pack(m)), _coefficient(c)) for c, m in g.terms()),
-                reverse=True,
-            )
+            terms = sorted(((packing.key(p), c) for p, c in terms), reverse=True)
             lk, lc = terms[0]
             inv = lc if lc in (1, -1) else 1 / Fraction(lc)
             row = (packing.packed(lk), lk, inv, tuple(terms[1:]))
@@ -195,7 +197,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightOrder) -> Polynomial
     """S-polynomial (lcm/lt(f)) * f - (lcm/lt(g)) * g with exact coefficients."""
     # An lcm of two leading monomials weighs at most the sum of their weights.
     packing = _Packing(order, 2 * _max_weight([f, g], order))
-    div = _Divider([f, g], packing, None)
+    div = _Divider(map(packing.terms, (f, g)), packing, None)
     a, b = div.rows[0][0], div.rows[1][0]
     l, _ = packing.lcm(a, b, packing.support(a) & packing.support(b))
     return packing.polynomial(div.s_polynomial(0, 1, packing.key(l)))
@@ -216,8 +218,8 @@ def reduce(
     """
     # Every term formed is <= lm(f), so no weight exceeds those of the input.
     packing = _Packing(order, _max_weight([f, *basis], order))
-    div = _Divider(basis, packing, budget)
-    work = {packing.key(packing.pack(m)): _coefficient(c) for c, m in f.terms()}
+    div = _Divider(map(packing.terms, basis), packing, budget)
+    work = {packing.key(p): c for p, c in packing.terms(f)}
     return packing.polynomial(div.normal_form(work))
 
 
@@ -254,7 +256,13 @@ def is_groebner(
     """
     # An lcm of two leading monomials weighs at most the sum of their weights.
     packing = _Packing(order, 2 * _max_weight(basis, order))
-    div = _Divider(basis, packing, budget)
+    div = _Divider(map(packing.terms, basis), packing, budget)
+    return _buchberger(div, use_coprime_criterion)
+
+
+def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
+    """The Buchberger pass of is_groebner over div's basis."""
+    packing = div.packing
     leads = [row[0] for row in div.rows]
     supports = [packing.support(p) for p in leads]
     s = len(leads)
@@ -324,54 +332,58 @@ def verify_theorem_main(
 ) -> GroebnerReport:
     """Machine-check the degeneration of the maximal-minor ideal.
 
+    All three checks read the rows of one _Divider over the packed minors.
     The per-minor check uses weights alone (no tie-break may be consulted):
     the maximum-weight term of each minor must be unique and equal to the
     matching-field generator.  The Buchberger pass then runs under the full
     order, and finally the leading monomials are compared with the matching
-    ideal as sets.
+    ideal as sets.  threads is ignored, as in is_groebner.
     """
     n = a.n
     ideal = matching_ideal(a)  # raises TooSmallError when n < 3
     order = weight_matrix(a, w0)
+    # Minor terms are packed straight from their variables, past the overflow
+    # test of _Packing.pack.  They fit: x_a * y_b * z_c weighs at most the
+    # heaviest x, y and z together, and an lcm of two leading monomials at
+    # most twice that; division forms no term above such an lcm.
+    heaviest = [max(w for v, w in order.weights.items() if v.family == f) for f in FAMILIES]
+    packing = _Packing(order, 2 * sum(heaviest))
+    x, y, z = ([packing.vectors[VariableId(f, c)] for c in range(1, n + 1)] for f in FAMILIES)
+    minors = (
+        [(x[c[i]] + y[c[j]] + z[c[k]], sign) for (i, j, k), sign in _ARRANGEMENTS]
+        for c in combinations(range(n), 3)
+    )
+    div = _Divider(minors, packing, budget)
+    weight, packed, monomial = packing.weight, packing.packed, packing.monomial
 
     failures: list[str] = []
     per_minor = True
-    minors: list[Polynomial] = []
-    for subset in combinations(range(1, n + 1), 3):
-        f = minor_expand(n, subset)
-        minors.append(f)
-        expected = generator(a, subset).monomial(n)
-        weighted = [(order.weight(m), m) for _, m in f.terms()]
-        top = max(w for w, _ in weighted)
-        argmax = [m for w, m in weighted if w == top]
-        if len(argmax) != 1:
+    for t, (lead, _, _, tail) in zip(generator_triples(a), div.rows):
+        expected = x[t.x - 1] + y[t.y - 1] + z[t.z - 1]
+        top = weight(lead)
+        # A row is sorted by the order, which compares weights first.
+        if weight(packed(tail[0][0])) == top:
             per_minor = False
+            argmax = [lead] + [packed(k) for k, _ in tail if weight(packed(k)) == top]
             failures.append(
-                f"minor {subset}: maximum weight {top} attained by "
-                f"{len(argmax)} terms: {sorted(map(repr, argmax))}"
+                f"minor {t.subset()}: maximum weight {top} attained by "
+                f"{len(argmax)} terms: {sorted(repr(monomial(p)) for p in argmax)}"
             )
-        elif argmax[0] != expected:
+        elif lead != expected:
             per_minor = False
             failures.append(
-                f"minor {subset}: maximum-weight term {argmax[0]!r} "
-                f"is not the matching-field generator {expected!r}"
+                f"minor {t.subset()}: maximum-weight term {monomial(lead)!r} "
+                f"is not the matching-field generator {monomial(expected)!r}"
             )
 
-    check = is_groebner(
-        minors,
-        order,
-        use_coprime_criterion=use_coprime_criterion,
-        budget=budget,
-        threads=threads,
-    )
+    check = _buchberger(div, use_coprime_criterion)
     if check.witness is not None:
         i, j, residual = check.witness
         failures.append(
             f"S-pair of minors #{i} and #{j} leaves the nonzero residual {residual!r}"
         )
 
-    leads = {leading_monomial(order, f) for f in minors}
-    leads_match = leads == set(ideal.generators)
+    leads_match = {row[0] for row in div.rows} == set(map(packing.pack, ideal.generators))
     if not leads_match:
         failures.append("leading monomials of the minors differ from the ideal")
     equals = per_minor and check.ok and leads_match

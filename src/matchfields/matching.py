@@ -11,8 +11,9 @@ generators are the combinatorial core of everything else in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple
 
 from ._packed import pack_minimal
@@ -49,10 +50,7 @@ class BlockStructure:
     @property
     def alphas(self) -> tuple[int, ...]:
         """Prefix sums (alpha_0, alpha_1, ..., alpha_r) with alpha_0 = 0."""
-        acc = [0]
-        for p in self.parts:
-            acc.append(acc[-1] + p)
-        return tuple(acc)
+        return tuple(accumulate(self.parts, initial=0))
 
     def block(self, t: int) -> range:
         """The t-th block I_t as a range of column indices (1-based t)."""
@@ -65,11 +63,7 @@ class BlockStructure:
         """Index t of the block containing column i."""
         if not 1 <= i <= self.n:
             raise ValueError(f"column {i} outside [1, {self.n}]")
-        a = self.alphas
-        for t in range(1, self.r + 1):
-            if i <= a[t]:
-                return t
-        raise AssertionError("unreachable")
+        return bisect_left(self.alphas, i)
 
     def __repr__(self) -> str:
         return f"BlockStructure({list(self.parts)})"

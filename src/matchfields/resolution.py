@@ -314,12 +314,8 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
     for f in faces:
         by_count.setdefault(f.bit_count(), []).append(f)
     top = max(by_count)
-    index = {
-        c: {f: i for i, f in enumerate(sorted(fs))} for c, fs in by_count.items()
-    }
     ranks: dict[int, int] = {}
     for c in range(1, top + 1):
-        lower = index[c - 1]
         rows = []
         for f in by_count[c]:
             row: dict[int, int] = {}
@@ -327,7 +323,7 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
             sign = 1
             while mm:
                 bit = mm & -mm
-                row[lower[f ^ bit]] = sign
+                row[f ^ bit] = sign
                 mm ^= bit
                 sign = -sign
             rows.append(row)

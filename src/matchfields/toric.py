@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 from ._packed import Layout
 from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
 from .errors import TooLargeError, UnknownVariableError
-from .matching import BlockStructure, generator
+from .matching import BlockStructure, generator_triples
 
 Subset = tuple[int, ...]
 Exponents = tuple[int, ...]
@@ -57,13 +57,10 @@ class PluckerMap:
 
 def plucker_map_from_matching_field(a: BlockStructure) -> PluckerMap:
     """p_{ijk} -> the matching-field monomial of columns {i, j, k}."""
-    n = a.n
-    source = []
-    images = []
-    for sub in combinations(range(1, n + 1), 3):
-        source.append(sub)
-        images.append(generator(a, sub).monomial(n))
-    return PluckerMap(tuple(source), tuple(images))
+    triples = generator_triples(a)  # raises TooSmallError when n < 3
+    return PluckerMap(
+        tuple(t.subset() for t in triples), tuple(t.monomial(a.n) for t in triples)
+    )
 
 
 def diagonal_plucker_map(k: int, n: int) -> PluckerMap:

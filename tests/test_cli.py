@@ -229,6 +229,7 @@ def test_threads_env_variable(capsys, monkeypatch):
         (["generators", "--blocks", ",3,3"], "--blocks"),
         (["generators", "--blocks", "3,3,"], "--blocks"),
         (["generators", "--blocks", "1_0"], "--blocks"),
+        (["kernel", "--n", "2"], "n >= 3"),
     ],
 )
 def test_out_of_range_options_exit_two(capsys, argv, option):

@@ -1,10 +1,13 @@
 """S-polynomials, division, the Buchberger criterion, initial supports."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import matchfields.groebner as groebner
 from matchfields import (
     BlockStructure,
     BudgetExceededError,
@@ -359,3 +362,112 @@ def test_pair_criteria_save_budget():
     assert verify_theorem_main(a, budget=30).ok
     with pytest.raises(BudgetExceededError):
         verify_theorem_main(a, budget=30, use_coprime_criterion=False)
+
+
+# Each composition and w0 under two orders that break the theorem: all
+# weights 1 (every minor ties) and the true weights shuffled (wrong top
+# terms, and leading monomials that miss the ideal).
+PERTURBED_CASES = [
+    (parts, w0, kind)
+    for parts in [(3,), (4,), (2, 2), (3, 2), (1, 2, 2), (5,)]
+    for w0 in (1, 2)
+    for kind in ("unit", "shuffled")
+]
+
+
+def _perturbed_weight_matrix(kind, real):
+    """weight_matrix with its weights replaced, its precedence kept."""
+
+    def weight_matrix(a, w0=1):
+        order = real(a, w0)
+        if kind == "unit":
+            values = [1] * len(order.precedence)
+        else:
+            values = [order.weights[v] for v in order.precedence]
+            random.Random(1000 * w0 + 10 * a.n + a.r).shuffle(values)
+        return WeightOrder(order.n, dict(zip(order.precedence, values)), order.precedence)
+
+    return weight_matrix
+
+
+def test_verify_failure_reports_are_pinned(monkeypatch):
+    path = Path(__file__).parent / "data" / "verify_perturbed_orders.json"
+    golden = json.loads(path.read_text())
+    assert [(tuple(g["parts"]), g["w0"], g["weights"]) for g in golden] == PERTURBED_CASES
+    real = groebner.weight_matrix
+    for want in golden:
+        perturbed = _perturbed_weight_matrix(want["weights"], real)
+        monkeypatch.setattr(groebner, "weight_matrix", perturbed)
+        rep = verify_theorem_main(BlockStructure(want["parts"]), want["w0"])
+        assert not rep.ok
+        for field in (
+            "per_minor_initial_ok",
+            "s_pairs_total",
+            "s_pairs_reduced_to_zero",
+            "initial_ideal_equals_matching_ideal",
+        ):
+            assert getattr(rep, field) == want[field], (want, field)
+        assert rep.failures == tuple(want["failures"]), want
+    lead_set = "leading monomials of the minors differ from the ideal"
+    assert sum(lead_set in g["failures"] for g in golden) == 22
+
+
+def _verify_with_divider(monkeypatch, a, w0):
+    """verify_theorem_main(a, w0) and the one _Divider it builds."""
+    built = []
+
+    class Recorded(groebner._Divider):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(groebner, "_Divider", Recorded)
+    report = verify_theorem_main(a, w0)
+    (div,) = built
+    return report, div
+
+
+def test_packed_minors_match_minor_expand(monkeypatch):
+    """Each row verify packs is its minor, with the lead, weights and bound
+    of the dict references."""
+    for n in range(3, 7):
+        subsets = list(combinations(range(1, n + 1), 3))
+        for parts in all_compositions(n):
+            for w0 in (1, 2, 3):
+                a = BlockStructure(parts)
+                order = weight_matrix(a, w0)
+                report, div = _verify_with_divider(monkeypatch, a, w0)
+                assert report.ok
+                packing = div.packing
+                assert len(div.rows) == len(subsets)
+                leads = []
+                for cols, (lead, lead_key, inv, tail) in zip(subsets, div.rows):
+                    f = minor_expand(n, cols)
+                    terms = {lead_key: 1 / Fraction(inv), **dict(tail)}
+                    assert packing.polynomial(terms) == f
+                    leads.append(leading_monomial(order, f))
+                    assert packing.monomial(lead) == leads[-1]
+                    for k in terms:
+                        p = packing.packed(k)
+                        assert packing.weight(p) == order.weight(packing.monomial(p))
+                for g, h in combinations(leads, 2):
+                    assert order.weight(g.lcm(h)) <= packing.bound
+
+
+def test_verify_builds_no_order_keys_and_only_the_ideal_monomials(monkeypatch):
+    calls = {"key": 0, "weight": 0, "monomial": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(WeightOrder, "key", counted("key", WeightOrder.key))
+    monkeypatch.setattr(WeightOrder, "weight", counted("weight", WeightOrder.weight))
+    monkeypatch.setattr(Monomial, "__init__", counted("monomial", Monomial.__init__))
+    assert verify_theorem_main(BlockStructure((6,))).ok
+    assert calls["key"] == calls["weight"] == 0
+    # The ideal's generators, one per 3-subset of columns.
+    assert calls["monomial"] <= 20
