@@ -5,6 +5,11 @@ vertices.  Slicing it along a z-vertex (and then a y-vertex) gives nested
 layers; relabeling the vertices by first appearance turns the hypergraph into
 a graph on integers 1..N whose min-vertex layers are recursively nested.
 That recursive nesting is the co-interval property checked here.
+
+The layer checks and the relabeling read one table {z: {y: [x, ...]}},
+filled in one pass over the block ordering, whose keys and x-lists keep
+their order of first appearance; hypergraph_H, z_layer and zy_layer build
+the same layers as DGraphs.
 """
 
 from __future__ import annotations
@@ -84,35 +89,40 @@ class LayerReport:
     lower_layers_nested: bool  # informational: y-nesting also held below the top
 
 
+def _layers(a: BlockStructure) -> dict[int, dict[int, list[int]]]:
+    """The generators as {z: {y: [x, ...]}}, filled in one pass over the
+    block ordering, so keys and x-lists come in order of first appearance."""
+    table: dict[int, dict[int, list[int]]] = {}
+    for t in sort_generators(a):
+        table.setdefault(t.z, {}).setdefault(t.y, []).append(t.x)
+    return table
+
+
 def check_layer_containment(a: BlockStructure) -> LayerReport:
     """Verify the nesting of z-layers and of y-layers within the top z-layer.
 
-    For occurring z-values v < v' the z_v-layer is contained in the z_{v'}
-    layer (the layer of a generator later in the block ordering sits inside
-    that of an earlier one).  Within the top z-layer, the x-sets shrink along
-    the block ordering of the y-values.  The same y-wise nesting evaluated in
+    Both checks read one layer table {z: {y: [x, ...]}}, filled in one pass
+    over the block ordering.  For occurring z-values v < v' the z_v-layer
+    (its set of (x, y) pairs) is contained in the z_{v'}-layer.  Within the
+    top z-layer, the x-sets shrink along the y-values in order of first
+    appearance in the block ordering.  The same y-wise nesting evaluated in
     the lower z-layers is reported in lower_layers_nested without affecting
     ok.
     """
-    h = hypergraph_H(a)
+    table = _layers(a)
     witnesses: list[str] = []
 
-    zvals = sorted({e[2].index for e in h.edges})
+    zvals = sorted(table)
+    pairs = {z: {(x, y) for y, xs in table[z].items() for x in xs} for z in zvals}
     for v, v2 in combinations(zvals, 2):
-        if not z_layer(h, v).edges <= z_layer(h, v2).edges:
+        if not pairs[v] <= pairs[v2]:
             witnesses.append(f"z_{v}-layer not contained in z_{v2}-layer")
 
-    ordered = sort_generators(a)
-
     def y_nesting_holds(ztop: int, record: bool) -> bool:
-        seen: list[int] = []
-        for t in ordered:
-            if t.z != ztop or t.y in seen:
-                continue
-            seen.append(t.y)
+        xsets = {y: set(xs) for y, xs in table[ztop].items()}
         good = True
-        for earlier, later in combinations(seen, 2):
-            if not zy_layer(h, ztop, later).edges <= zy_layer(h, ztop, earlier).edges:
+        for earlier, later in combinations(xsets, 2):
+            if not xsets[later] <= xsets[earlier]:
                 good = False
                 if record:
                     witnesses.append(
@@ -156,35 +166,21 @@ class RelabelMap:
 
 def relabel_f(a: BlockStructure) -> RelabelMap:
     """Build the relabeling; every vertex of the hypergraph must be covered."""
-    ordered = sort_generators(a)
-    zvals = sorted({t.z for t in ordered})
-    m = len(zvals)
-    assignment: dict[VariableId, int] = {}
-    for i, v in enumerate(reversed(zvals)):
-        assignment[zvar(v)] = i + 1
-
-    top = zvals[-1]
-    yseq: list[int] = []
-    for t in ordered:
-        if t.z == top and t.y not in yseq:
-            yseq.append(t.y)
-    k = len(yseq)
-    for i, u in enumerate(yseq):
-        assignment[yvar(u)] = m + i + 1
-
-    first_y = yseq[0]
-    xseq: list[int] = []
-    for t in ordered:
-        if t.z == top and t.y == first_y and t.x not in xseq:
-            xseq.append(t.x)
-    l = len(xseq)
-    for i, x in enumerate(xseq):
-        assignment[xvar(x)] = m + k + i + 1
+    table = _layers(a)
+    zvals = sorted(table, reverse=True)
+    top = table[zvals[0]]
+    yseq = list(top)
+    xseq = top[yseq[0]]
+    m, k, l = len(zvals), len(yseq), len(xseq)
+    labels = [zvar(v) for v in zvals] + [yvar(u) for u in yseq] + [xvar(x) for x in xseq]
+    assignment = {v: i + 1 for i, v in enumerate(labels)}
 
     missing = sorted(
         str(v)
-        for t in ordered
-        for v in (xvar(t.x), yvar(t.y), zvar(t.z))
+        for z, ys in table.items()
+        for y, xs in ys.items()
+        for x in xs
+        for v in (xvar(x), yvar(y), zvar(z))
         if v not in assignment
     )
     if missing:

@@ -28,7 +28,7 @@ from .algebra import VariableId
 from .cellular import check_layer_containment, graph_G, is_cointerval, relabel_f
 from .errors import MatchfieldsError
 from .groebner import attainable_initial_supports, verify_theorem_main
-from .matching import BlockStructure, matching_ideal, sort_generators, weight_matrix
+from .matching import BlockStructure, sort_generators, weight_matrix
 from .resolution import betti_from_certificate, linear_quotients_certificate
 from .toric import (
     _kernel_and_flatness,

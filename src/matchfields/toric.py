@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping
 
 from ._packed import Layout
@@ -233,20 +233,20 @@ def _slice(
 def hilbert_dim_rect(k: int, n: int, d: int) -> int:
     """Number of semistandard fillings of the k x d rectangle with entries <= n.
 
-    Computed by the hook content product over the rectangle's cells.
+    Computed by the hook content formula: the product of the contents
+    n + j - i over the rectangle's cells, divided by the product of the hooks.
     """
     if d == 0:
         return 1
     if k < 1 or n < k or d < 0:
         raise ValueError("need 1 <= k <= n and d >= 0")
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        for j in range(1, d + 1):
-            hook = (d - j) + (k - i) + 1
-            out *= Fraction(n + j - i, hook)
-    if out.denominator != 1:
-        raise ArithmeticError(f"hook content product {out} is not an integer")
-    return out.numerator
+    cells = [(i, j) for i in range(1, k + 1) for j in range(1, d + 1)]
+    contents = prod(n + j - i for i, j in cells)
+    hooks = prod((d - j) + (k - i) + 1 for i, j in cells)
+    out, rest = divmod(contents, hooks)
+    if rest:
+        raise ArithmeticError(f"hook content product {contents}/{hooks} is not an integer")
+    return out
 
 
 @dataclass(frozen=True)

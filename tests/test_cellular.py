@@ -1,17 +1,26 @@
 """Hypergraph layers, relabeling, and the co-interval property."""
 
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import matchfields.cellular as cellular
+import matchfields.matching as matching
 from matchfields import (
     ArityTooSmallError,
     BlockStructure,
     DGraph,
     check_layer_containment,
+    generator_triples,
     graph_G,
     hypergraph_H,
     is_cointerval,
     relabel_f,
     relabeled_ideal,
+    sort_generators,
     v_layer,
     xvar,
     yvar,
@@ -150,3 +159,110 @@ def test_relabeled_ideal_shape():
     reprs = {repr(g) for g in gens}
     assert "x3*x5*x7" in reprs  # edge 357
     assert "x1*x6*x9" in reprs  # edge 169
+
+
+def test_layer_table_matches_the_dgraph_layers():
+    """The one-pass table holds the z_layer and zy_layer edges, every
+    generator once, with keys and x-lists in block-order first appearance."""
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            h = hypergraph_H(a)
+            ordered = sort_generators(a)
+            table = cellular._layers(a)
+            assert list(table) == list(dict.fromkeys(t.z for t in ordered)), parts
+            for z, ys in table.items():
+                pairs = {(xvar(x), yvar(y)) for y, xs in ys.items() for x in xs}
+                assert pairs == z_layer(h, z).edges, (parts, z)
+                in_z = [t for t in ordered if t.z == z]
+                assert list(ys) == list(dict.fromkeys(t.y for t in in_z)), (parts, z)
+                for y, xs in ys.items():
+                    assert {(xvar(x),) for x in xs} == zy_layer(h, z, y).edges
+                    assert xs == [t.x for t in in_z if t.y == y], (parts, z, y)
+
+
+def test_layer_checks_sort_once_and_build_no_dgraph_layers(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cellular, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("sort_generators", "hypergraph_H", "z_layer", "zy_layer"):
+        monkeypatch.setattr(cellular, name, counted(name))
+    a = BlockStructure((4, 3))
+    check_layer_containment(a)
+    assert calls == {"sort_generators": 1}
+    calls.clear()
+    relabel_f(a)
+    assert calls == {"sort_generators": 1}
+
+
+def _perturbed_cases():
+    """(parts, change, triples): three seeded perturbations of the generator
+    triples of each composition of 3 <= n <= 6, skipping any that repeats a
+    triple."""
+    rng = random.Random(7)
+    cases = []
+    for n in range(3, 7):
+        for parts in all_compositions(n):
+            triples = generator_triples(BlockStructure(parts))
+            i = rng.randrange(len(triples))
+            j = rng.randrange(len(triples))
+            k = rng.randrange(len(triples))
+            z = rng.randint(1, n)
+            swapped = triples[j]._replace(x=triples[j].y, y=triples[j].x)
+            moved = triples[k]._replace(z=z)
+            for change, perturbed in (
+                (f"drop {i}", triples[:i] + triples[i + 1 :]),
+                (f"swap x and y of {j}", triples[:j] + [swapped] + triples[j + 1 :]),
+                (f"set z of {k} to {z}", triples[:k] + [moved] + triples[k + 1 :]),
+            ):
+                if len(set(perturbed)) == len(perturbed):
+                    cases.append((parts, change, perturbed))
+    return cases
+
+
+def _outcome(compute):
+    """repr of the result, or the type and text of the error it raises."""
+    try:
+        return repr(compute())
+    except (IndexError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cellular_outcomes(a):
+    return {
+        "layers": _outcome(lambda: check_layer_containment(a)),
+        "relabel": _outcome(lambda: relabel_f(a)),
+        "graph": _outcome(lambda: sorted(graph_G(a).edges)),
+    }
+
+
+def test_cellular_failure_reports_are_pinned(monkeypatch):
+    path = Path(__file__).parent / "data" / "cellular_perturbed.json"
+    golden = json.loads(path.read_text())
+    cases = _perturbed_cases()
+    assert [(tuple(g["parts"]), g["change"]) for g in golden] == [c[:2] for c in cases]
+    for want, (parts, _, triples) in zip(golden, cases):
+        def perturbed(a, ts=triples):
+            return list(ts)
+
+        for module in (matching, cellular):
+            monkeypatch.setattr(module, "generator_triples", perturbed)
+        got = _cellular_outcomes(BlockStructure(parts))
+        assert got == {key: want[key] for key in got}, want
+    uncovered = [
+        g["relabel"].split(": ", 2)[2].split(", ")
+        for g in golden
+        if "relabeling does not cover" in g["relabel"]
+    ]
+    assert any(len(set(names)) < len(names) for names in uncovered)
+    assert sum("ok=False" in g["layers"] for g in golden) == 121
+    assert len(uncovered) == 61
+    assert sum("lower_layers_nested=False" in g["layers"] for g in golden) == 34

@@ -1,4 +1,4 @@
-"""Every private helper of the package is used somewhere in it."""
+"""Every private helper and every import of the package is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -49,4 +49,29 @@ def test_every_private_name_is_used_outside_its_definition():
                 name in _uses(other, node) for other in trees.values()
             ):
                 unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_every_import_is_used():
+    """A module reads each name it imports at module level; __init__.py
+    (re-exports) and __future__ imports are exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}: {name}")
     assert unused == []

@@ -151,6 +151,27 @@ def test_hilbert_dim_rect_frozen_values():
         hilbert_dim_rect(3, 2, 1)
 
 
+def _hilbert_dim_rect_by_fractions(k, n, d):
+    """The reference: the hook content product as one Fraction per cell."""
+    if d == 0:
+        return 1
+    out = Fraction(1)
+    for i in range(1, k + 1):
+        for j in range(1, d + 1):
+            hook = (d - j) + (k - i) + 1
+            out *= Fraction(n + j - i, hook)
+    assert out.denominator == 1
+    return out.numerator
+
+
+def test_hilbert_dim_rect_matches_the_fraction_product():
+    for k in (1, 2, 3):
+        for n in range(k, 13):
+            for d in range(41):
+                want = _hilbert_dim_rect_by_fractions(k, n, d)
+                assert hilbert_dim_rect(k, n, d) == want, (k, n, d)
+
+
 def test_hilbert_dim_rect_column_strictness_small_check():
     # k = n forces one filling per column multiset: d columns of 1..k each.
     assert hilbert_dim_rect(3, 3, 4) == 1
