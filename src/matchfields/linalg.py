@@ -11,7 +11,9 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def rational_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
+def rational_rank(
+    rows: Iterable[dict[int, Fraction | int]], *, pivots: set[int] | None = None
+) -> int:
     """Rank over the rationals of the row span of sparse vectors.
 
     Rows map column index -> value (int or Fraction).  Each row is scaled to
@@ -20,19 +22,23 @@ def rational_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
     integer operations, dividing out the row content after each step so
     entries stay small.  Columns are arbitrary
     int indices.
+
+    When a set is passed as pivots, the pivot columns are added to it: one
+    per unit of rank, each the smallest column of a stored row, which is a
+    combination of the input rows.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    stored: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
         scale = lcm(*(v.denominator for v in row.values()))
         work = {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
         while work:
             c = min(work)
-            piv = pivots.get(c)
+            piv = stored.get(c)
             if piv is None:
                 if work[c] < 0:
                     work = {cc: -vv for cc, vv in work.items()}
-                pivots[c] = work
+                stored[c] = work
                 rank += 1
                 break
             a, f = piv[c], work[c]
@@ -49,6 +55,8 @@ def rational_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
             content = gcd(*work.values())
             if content > 1:
                 work = {cc: vv // content for cc, vv in work.items()}
+    if pivots is not None:
+        pivots.update(stored)
     return rank
 
 

@@ -6,8 +6,11 @@ given generator ordering, on exponent vectors packed into ints, and reads
 the Betti numbers off the colon-set sizes with a binomial-coefficient
 formula (Herzog-Takayama, Resolutions by mapping cones).  The oracle route
 computes multigraded Betti numbers directly as ranks of reduced simplicial
-homology of upper Koszul complexes, by exact integer elimination, one
-lcm-lattice element at a time, and knows nothing about quotient orderings.
+homology of upper Koszul complexes, one lcm-lattice element at a time, and
+knows nothing about quotient orderings.  Their facets form an antichain
+(the generators are minimal), each distinct complex shape is computed once
+per call, and its boundary ranks come from exact integer elimination with
+clearing.
 """
 
 from __future__ import annotations
@@ -189,10 +192,17 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     lattice element b the upper Koszul complex K^b has the variables of b as
     vertices and one facet b minus g for each generator g dividing b; its
     reduced homology H_{i-1} has rank beta_{i,b} (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, Thm 1.34).  Strong collapses (deleting
-    a vertex whose maximal simplices all contain some other vertex) shrink
-    each complex before any matrix work; they are homotopy equivalences, so
-    the ranks are unchanged.  Ranks come from exact integer elimination.
+    Combinatorial Commutative Algebra, Thm 1.34).
+
+    Polarization keeps divisibility, so the minimal generators give masks of
+    which none contains another, and the facets b minus g of each K^b form
+    an antichain that needs no maximality pass.  Renumbering the bits of b
+    in order is an isomorphism of complexes, so K^b is computed once per
+    compressed shape (|b| and the renumbered dividing generators) within
+    one call; no result is kept across calls.  Strong collapses (deleting a vertex whose maximal
+    simplices all contain some other vertex) shrink each complex before any
+    matrix work; they are homotopy equivalences, so the ranks are unchanged.
+    Ranks come from exact integer elimination with clearing.
     """
     gens = ideal.sorted_generators()
     k = len(gens)
@@ -212,9 +222,26 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
         shift += width[v]
     masks = [sum(((1 << e) - 1) << offset[v] for v, e in g.items()) for g in gens]
 
+    homology: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     betti: dict[int, int] = {}
     for b in _lcm_lattice(masks):
-        for d, h in _union_homology([b & ~g for g in masks if not g & ~b]).items():
+        shape = []
+        outside = ~b
+        for g in masks:
+            if not g & outside:
+                c = 0
+                while g:
+                    v = g & -g
+                    c |= 1 << (b & (v - 1)).bit_count()
+                    g ^= v
+                shape.append(c)
+        size = b.bit_count()
+        key = (size, tuple(sorted(shape)))
+        ranks = homology.get(key)
+        if ranks is None:
+            full = (1 << size) - 1
+            ranks = homology[key] = _union_homology([full ^ c for c in key[1]])
+        for d, h in ranks.items():
             betti[d + 1] = betti.get(d + 1, 0) + h
 
     top = max(betti)
@@ -270,12 +297,21 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
     Input: one vertex bitmask per simplex, at least one (the empty face is
     always present).  Output: {dimension: rank} with zero ranks omitted;
     dimension -1 appears exactly when the complex is the empty face alone.
+    The input is expected to be an antichain (the facets) for speed, not for
+    correctness: a repeated or contained mask adds no face and only makes
+    the collapse test below stricter.
 
     Each sweep deletes every vertex v whose simplices all contain another
     vertex still present (a strong collapse).  Deleting v leaves the other
     vertices' simplices as they were, so one sweep can delete many vertices.
+
+    The boundary ranks are taken from the top dimension down, with clearing
+    (Chen-Kerber 2011): a face that is a pivot column of the boundary rows
+    one dimension up gets no row of its own.  Each pivot row has its
+    smallest column at its pivot and is a boundary, so the boundary of a
+    cleared face lies in the span of the boundaries of the faces after it,
+    and by induction from the last cleared face, of the rows kept.
     """
-    masks = _maximal_masks(masks)
     while True:
         if len(masks) == 1:
             return {} if masks[0] else {-1: 1}
@@ -315,9 +351,12 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
         by_count.setdefault(f.bit_count(), []).append(f)
     top = max(by_count)
     ranks: dict[int, int] = {}
-    for c in range(1, top + 1):
+    cleared: set[int] = set()
+    for c in range(top, 0, -1):
         rows = []
         for f in by_count[c]:
+            if f in cleared:
+                continue
             row: dict[int, int] = {}
             mm = f
             sign = 1
@@ -327,7 +366,8 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
                 mm ^= bit
                 sign = -sign
             rows.append(row)
-        ranks[c] = rational_rank(rows)
+        cleared = set()
+        ranks[c] = rational_rank(rows, pivots=cleared)
 
     out: dict[int, int] = {}
     for c in range(top + 1):

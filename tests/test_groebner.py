@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,24 @@ def test_threads_do_not_change_verdict():
     two = verify_theorem_main(a, threads=2)
     assert one.ok and two.ok
     assert one.s_pairs_reduced_to_zero == two.s_pairs_reduced_to_zero
+
+
+def test_verify_verdict_does_not_depend_on_the_draw():
+    rng = random.Random(17)
+    structures = [p for n in range(3, 6) for p in all_compositions(n)]
+    for _ in range(80):
+        parts = rng.choice(structures)
+        w0, threads, criteria = rng.choice((1, 2, 3)), rng.choice((1, 2)), rng.random() < 0.5
+        rep = verify_theorem_main(
+            BlockStructure(parts), w0=w0, threads=threads, use_coprime_criterion=criteria
+        )
+        pairs = comb(comb(sum(parts), 3), 2)
+        assert (
+            rep.ok,
+            rep.per_minor_initial_ok,
+            rep.initial_ideal_equals_matching_ideal,
+            rep.s_pairs_total,
+        ) == (True, True, True, pairs), (parts, w0, threads, criteria, rep.failures)
 
 
 def test_verify_theorem_small_cases():

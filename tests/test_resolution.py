@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -437,6 +438,114 @@ def test_rational_rank_accepts_ints_and_fractions():
     assert rational_rank([{0: 3, 1: -1}, {0: Fraction(1, 2), 2: 5}]) == 2
 
 
+def test_rational_rank_reports_one_pivot_column_per_unit_of_rank():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = [
+            {c: random_fraction(rng) for c in rng.sample(range(8), rng.randint(0, 5))}
+            for _ in range(rng.randint(0, 6))
+        ]
+        pivots = set()
+        rank = rational_rank(rows, pivots=pivots)
+        assert rank == reference_rational_rank(rows) == rational_rank(rows), rows
+        assert len(pivots) == rank
+        assert pivots <= {c for row in rows for c, v in row.items() if v}
+
+
+def antichain(masks):
+    """The drawn masks that no other drawn mask contains, each once, in the
+    order drawn."""
+    return [m for m in dict.fromkeys(masks) if not any(m != o and not m & ~o for o in masks)]
+
+
+def complements(masks):
+    """The masks complemented in their union, as the facets of K^b are the
+    generators complemented in b."""
+    union = 0
+    for m in masks:
+        union |= m
+    return [union ^ m for m in masks]
+
+
+def test_union_homology_equals_reference_on_antichains():
+    # 1-8 simplices of 1-5 vertices out of 10, or their complements (the
+    # shape of a K^b), reduced to an antichain.
+    rng = random.Random(13)
+    for _ in range(3000):
+        masks = [
+            sum(1 << v for v in rng.sample(range(10), rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        if rng.random() < 0.5:
+            masks = complements(masks)
+        facets = antichain(masks)
+        assert resolution._union_homology(facets) == reference_union_homology(facets), facets
+
+
+def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
+    # The boundary of the simplex on n vertices has no strong collapse.  Its
+    # n facets give n - 1 pivots; below, each dimension c keeps the
+    # C(n, c) - C(n - 1, c) = C(n - 1, c - 1) faces that were not pivots one
+    # dimension up, and those rows are independent.
+    calls = []
+
+    def recording(rows, *, pivots=None):
+        rows = list(rows)
+        rank = rational_rank(rows, pivots=pivots)
+        calls.append((len(rows), rank))
+        return rank
+
+    monkeypatch.setattr(resolution, "rational_rank", recording)
+    for n in range(3, 9):
+        calls.clear()
+        full = (1 << n) - 1
+        assert resolution._union_homology([full ^ (1 << i) for i in range(n)]) == {n - 2: 1}
+        kept = [(comb(n - 1, c - 1), comb(n - 1, c - 1)) for c in range(n - 2, 0, -1)]
+        assert calls == [(n, n - 1)] + kept, n
+
+
+def compressed_shapes(ideal):
+    """The distinct complexes K^b of a squarefree ideal, each as the size of
+    b and the dividing generators with b's bits renumbered 0, 1, ... in
+    order, the variables taking bits in sorted order; and the lattice."""
+    variables = sorted({v for g in ideal.generators for v in g.variables()})
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    masks = [sum(bit[v] for v in g.variables()) for g in ideal.generators]
+    lattice = set(masks)
+    frontier = list(lattice)
+    while frontier:
+        frontier = [b | g for b in frontier for g in masks if b | g not in lattice]
+        lattice.update(frontier)
+    shapes = set()
+    for b in lattice:
+        positions = [p for p in range(len(variables)) if b >> p & 1]
+        renamed = sorted(
+            sum(1 << j for j, p in enumerate(positions) if g >> p & 1)
+            for g in masks
+            if g & b == g
+        )
+        shapes.add((len(positions), tuple(renamed)))
+    return shapes, lattice
+
+
+def test_oracle_computes_each_compressed_shape_once_per_call(monkeypatch):
+    ideal = matching_ideal(BlockStructure((2, 2, 2)))
+    shapes, lattice = compressed_shapes(ideal)
+    assert len(shapes) < len(lattice)
+    calls = []
+    union_homology = resolution._union_homology
+
+    def counting(masks):
+        calls.append(masks)
+        return union_homology(masks)
+
+    monkeypatch.setattr(resolution, "_union_homology", counting)
+    for _ in range(2):
+        calls.clear()
+        assert list(betti_oracle(ideal)) == [20, 45, 36, 10]
+        assert len(calls) == len(shapes)
+
+
 def test_oracle_invariant_under_variable_relabeling():
     rng = random.Random(5)
     cases = [random_ideal(rng) for _ in range(60)]
@@ -481,6 +590,15 @@ def test_oracle_matches_certificate_all_structures_at_n7():
 def test_oracle_at_n8_matches_closed_form():
     got = betti_oracle(matching_ideal(BlockStructure((4, 4))), max_generators=56)
     assert list(got) == list(betti_diagonal_table(8)) == certificate_table((4, 4))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("parts", [(9,), (3, 3, 3)])
+def test_oracle_at_n9_matches_certificate_and_closed_form(parts, monkeypatch):
+    # (9,) has 304 723 lattice elements, past the default cap.
+    monkeypatch.setattr(resolution, "_LCM_LATTICE_CAP", 400_000)
+    got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=84)
+    assert list(got) == certificate_table(parts) == list(betti_diagonal_table(9))
 
 
 # ---------------------------------------------------------------------------
