@@ -21,12 +21,13 @@ import functools
 import json
 import os
 import sys
+from math import comb
 from typing import Optional, Sequence
 
 from . import __version__
 from .algebra import VariableId
 from .cellular import check_layer_containment, graph_G, is_cointerval, relabel_f
-from .errors import MatchfieldsError
+from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, sort_generators, weight_matrix
 from .resolution import betti_from_certificate, linear_quotients_certificate
@@ -38,6 +39,15 @@ from .toric import (
 )
 
 CSV_COMMANDS = {"generators", "weights", "betti"}
+
+# kernel lists a slice's spanning binomials only when it has at most this
+# many; larger slices report their dimension alone, and their binomials are
+# never built.
+MAX_PRINTED_BINOMIALS = 200
+
+# betti refuses more generators than the matching ideal has at n = 20: the
+# linear-quotients certificate's work grows as the square of their number.
+MAX_BETTI_GENERATORS = comb(20, 3)
 
 
 class _Output:
@@ -174,6 +184,11 @@ def _cmd_verify(args) -> _Output:
 def _cmd_betti(args) -> _Output:
     a = _structure(args)
     n = a.n
+    if comb(n, 3) > MAX_BETTI_GENERATORS:
+        raise TooLargeError(
+            f"{comb(n, 3)} generators exceeds the betti limit "
+            f"MAX_BETTI_GENERATORS={MAX_BETTI_GENERATORS}"
+        )
     ordered = [t.monomial(n) for t in sort_generators(a)]
     cert = linear_quotients_certificate(ordered)
     result = {
@@ -252,14 +267,16 @@ def _cmd_kernel(args) -> _Output:
     pmap = plucker_map_from_matching_field(a)
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
-    kernel, flat = _kernel_and_flatness(pmap, 3, a.n, args.dmax, args.budget)
+    kernel, flat = _kernel_and_flatness(
+        pmap, 3, a.n, args.dmax, args.budget, MAX_PRINTED_BINOMIALS
+    )
     for ks in kernel:
         entry = {
             "degree": ks.degree,
             "dimension": ks.dimension,
             "new_minimal_generators": ks.new_minimal_generators,
         }
-        if len(ks.binomials) <= 200:
+        if ks.binomials is not None:
             entry["binomials"] = [
                 f"{format_plucker_exponents(pmap, p)} - {format_plucker_exponents(pmap, q)}"
                 for p, q in ks.binomials

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from ._packed import Layout
 from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
@@ -197,14 +197,17 @@ class KernelSlice:
     """The degree-d piece of the kernel of a Pluecker monomial map.
 
     binomials spans the slice: each entry is a pair (plus, minus) of
-    exponent tuples over pmap.source with equal image.
+    exponent tuples over pmap.source with equal image, and there are
+    exactly dimension of them.  It is None when they were not built, because
+    the slice has more of them than its builder was asked to build;
+    kernel_slice always builds them.
     new_minimal_generators counts the dimension not reachable by multiplying
     lower-degree kernel elements by monomials.
     """
 
     degree: int
     dimension: int
-    binomials: tuple[tuple[Exponents, Exponents], ...]
+    binomials: Optional[tuple[tuple[Exponents, Exponents], ...]]
     new_minimal_generators: int
 
 
@@ -217,15 +220,25 @@ def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice
 
 
 def _slice(
-    pmap: PluckerMap, d: int, fibres: dict[int, list[Combo]], below: dict[int, list[Combo]]
+    pmap: PluckerMap,
+    d: int,
+    fibres: dict[int, list[Combo]],
+    below: dict[int, list[Combo]],
+    max_binomials: Optional[int] = None,
 ) -> KernelSlice:
-    """The degree-d slice from the fibres of degree d and d - 1."""
+    """The degree-d slice from the fibres of degree d and d - 1.
+
+    The spanning binomials are built unless there are more than
+    max_binomials of them; there are exactly dimension many, one per
+    non-root fibre member, so that is known before any is built.
+    """
     s = len(pmap.source)
     dimension = comb(s + d - 1, d) - len(fibres)
+    build = max_binomials is None or dimension <= max_binomials
     return KernelSlice(
         degree=d,
         dimension=dimension,
-        binomials=tuple(_spanning_binomials(fibres, s)),
+        binomials=tuple(_spanning_binomials(fibres, s)) if build else None,
         new_minimal_generators=dimension - _rank_from_below(below, s, d),
     )
 
@@ -233,19 +246,21 @@ def _slice(
 def hilbert_dim_rect(k: int, n: int, d: int) -> int:
     """Number of semistandard fillings of the k x d rectangle with entries <= n.
 
-    Computed by the hook content formula: the product of the contents
-    n + j - i over the rectangle's cells, divided by the product of the hooks.
+    This is the dimension of the GL_n representation of highest weight
+    (d^k), computed by the Weyl dimension formula: the product of
+    (d + j - i) / (j - i) over 1 <= i <= k < j <= n.  That is k * (n - k)
+    factors, independent of d, where the hook content formula has k * d.
     """
     if d == 0:
         return 1
     if k < 1 or n < k or d < 0:
         raise ValueError("need 1 <= k <= n and d >= 0")
-    cells = [(i, j) for i in range(1, k + 1) for j in range(1, d + 1)]
-    contents = prod(n + j - i for i, j in cells)
-    hooks = prod((d - j) + (k - i) + 1 for i, j in cells)
-    out, rest = divmod(contents, hooks)
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(k + 1, n + 1)]
+    top = prod(d + j - i for i, j in pairs)
+    bottom = prod(j - i for i, j in pairs)
+    out, rest = divmod(top, bottom)
     if rest:
-        raise ArithmeticError(f"hook content product {contents}/{hooks} is not an integer")
+        raise ArithmeticError(f"Weyl dimension product {top}/{bottom} is not an integer")
     return out
 
 
@@ -274,16 +289,22 @@ def _flatness(k: int, n: int, sizes: Iterable[int]) -> FlatnessReport:
 
 
 def _kernel_and_flatness(
-    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int
+    pmap: PluckerMap,
+    k: int,
+    n: int,
+    dmax: int,
+    budget: int,
+    max_binomials: Optional[int],
 ) -> tuple[list[KernelSlice], FlatnessReport]:
     """kernel_slice for d = 1..dmax and flatness_check to dmax, building
-    each degree's fibres once."""
+    each degree's fibres once, and the binomials of a slice only when it
+    has at most max_binomials of them (all of them when it is None)."""
     slices = []
     sizes = [1]
     below: dict[int, list[Combo]] = {}
     for d in range(1, dmax + 1):
         fibres = _fibres(pmap, d, budget)
-        slices.append(_slice(pmap, d, fibres, below))
+        slices.append(_slice(pmap, d, fibres, below, max_binomials))
         sizes.append(len(fibres))
         below = fibres
     return slices, _flatness(k, n, sizes)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -11,8 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from matchfields import __version__, hilbert_dim_rect, toric
-from matchfields.cli import main
+from matchfields import (
+    BlockStructure,
+    __version__,
+    betti_diagonal_table,
+    flatness_check,
+    format_plucker_exponents,
+    hilbert_dim_rect,
+    kernel_slice,
+    plucker_map_from_matching_field,
+    toric,
+)
+from matchfields.cli import MAX_PRINTED_BINOMIALS, main
 
 
 def run(capsys, *argv):
@@ -113,6 +124,16 @@ def test_betti_csv(capsys):
     assert rows == [["i", "betti_i"], ["0", "10"], ["1", "15"], ["2", "6"]]
 
 
+def test_betti_size_guard_is_on_by_default(capsys):
+    code, out, _ = run(capsys, "betti", "--n", "20", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["betti"] == list(betti_diagonal_table(20))
+    for n, generators in [(21, 1330), (30, 4060)]:
+        code, out, err = run(capsys, "betti", "--n", str(n))
+        assert code == 2 and out == ""
+        assert f"{generators} generators" in err and "MAX_BETTI_GENERATORS=1140" in err
+
+
 def test_cointerval_json_golden(capsys):
     code, out, _ = run(capsys, "cointerval", "--blocks", "3,2", "--format", "json")
     assert code == 0
@@ -171,6 +192,74 @@ def test_kernel_builds_each_degree_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")
     assert code == 0
     assert calls == [1, 2, 3]
+
+
+def test_kernel_builds_binomials_only_for_printed_slices(capsys, monkeypatch):
+    built = []
+    spanning = toric._spanning_binomials
+
+    def counted(fibres, s):
+        out = spanning(fibres, s)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(toric, "_spanning_binomials", counted)
+    code, out, _ = run(capsys, "kernel", "--blocks", "3,3,2", "--dmax", "3", "--format", "json")
+    assert code == 0
+    slices = json.loads(out)["result"]["slices"]
+    assert [e["dimension"] for e in slices] == [0, 420, 16744]
+    assert built == [0]
+    assert [len(e["binomials"]) for e in slices if "binomials" in e] == [0]
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
+
+
+def kernel_result_from_kernel_slice(parts, dmax):
+    """The kernel subcommand's JSON result, rebuilt from the public
+    kernel_slice and flatness_check, one degree at a time."""
+    n = sum(parts)
+    pm = plucker_map_from_matching_field(BlockStructure(parts))
+    slices = []
+    for d in range(1, dmax + 1):
+        ks = kernel_slice(pm, d)
+        assert len(ks.binomials) == ks.dimension
+        entry = {
+            "degree": d,
+            "dimension": ks.dimension,
+            "new_minimal_generators": ks.new_minimal_generators,
+        }
+        if ks.dimension <= MAX_PRINTED_BINOMIALS:
+            entry["binomials"] = [
+                f"{format_plucker_exponents(pm, p)} - {format_plucker_exponents(pm, q)}"
+                for p, q in ks.binomials
+            ]
+        slices.append(entry)
+    flat = flatness_check(pm, 3, n, dmax)
+    return {
+        "slices": slices,
+        "flatness_ok": flat.ok,
+        "flatness_rows": [list(r) for r in flat.rows],
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kernel_json_equals_the_result_rebuilt_from_kernel_slice(capsys, n):
+    listed = set()
+    for parts in compositions(n):
+        blocks = ",".join(map(str, parts))
+        code, out, _ = run(capsys, "kernel", "--blocks", blocks, "--dmax", "3", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result == kernel_result_from_kernel_slice(parts, 3), parts
+        listed.update("binomials" in e for e in result["slices"])
+    assert listed == ({True} if n < 6 else {True, False})
 
 
 def test_supports_text_and_json(capsys):
@@ -272,3 +361,86 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert __version__ in proc.stdout
+
+
+_FUZZ_OPTIONS = {
+    "generators": ["--n", "--blocks", "--format"],
+    "weights": ["--n", "--blocks", "--format", "--w0"],
+    "verify": [
+        "--n", "--blocks", "--format", "--w0", "--budget", "--threads",
+        "--no-coprime-criterion",
+    ],
+    "betti": ["--n", "--blocks", "--format"],
+    "cointerval": ["--n", "--blocks", "--format"],
+    "kernel": ["--n", "--blocks", "--format", "--dmax", "--budget"],
+    "supports": ["--plucker-quadric", "--format"],
+}
+_FUZZ_GOOD = {
+    "--n": ["3", "4", "5", "6", "7", "8"],
+    "--dmax": ["1", "2", "3"],
+    "--budget": ["1", "40", "500000"],
+    "--w0": ["1", "2", "7"],
+    "--threads": ["1", "2"],
+    "--format": ["text", "json", "csv"],
+}
+_FUZZ_BAD = ["0", "-1", "-8", "1.5", "two", "", " ", "1e3", "0x10", "٣", "2,2", "3 "]
+_FUZZ_BAD_BLOCKS = [
+    "", ",", "2,,2", ",3", "3,", "a,b", "3;2", "0,3", "-1,4", "2.0,1", "1_0",
+    "٣,2", "+2,2", " 2 , x ", "2 2",
+]
+
+
+def fuzz_argv(rng):
+    """A random argument list: a subcommand with a random subset of options
+    (sometimes one that belongs to another subcommand, or one left without
+    its value), each valid, out of range or malformed."""
+    command = rng.choice(sorted(_FUZZ_OPTIONS))
+    names = list(_FUZZ_OPTIONS[command])
+    if rng.random() < 0.1:
+        names.append(rng.choice(["--dmax", "--w0", "--threads", "--bogus"]))
+    chosen = rng.sample(names, rng.randint(0, len(names)))
+    if command != "supports" and rng.random() < 0.8:
+        # Most lists name the columns, so that most calls get past parsing.
+        chosen.insert(0, rng.choice(["--n", "--blocks"]))
+    argv = [command]
+    for name in chosen:
+        argv.append(name)
+        if name == "--no-coprime-criterion":
+            continue
+        if name == "--blocks":
+            if rng.random() < 0.8:
+                parts = rng.choice(list(compositions(rng.randint(1, 8))))
+                argv.append(",".join(map(str, parts)))
+            else:
+                argv.append(rng.choice(_FUZZ_BAD_BLOCKS))
+        elif name == "--plucker-quadric":
+            argv += [rng.choice(["2", "3", "-1", "x"]), rng.choice(["4", "6", "0", ""])]
+        elif rng.random() < 0.8:
+            argv.append(rng.choice(_FUZZ_GOOD.get(name, ["1"])))
+        else:
+            argv.append(rng.choice(_FUZZ_BAD))
+    if rng.random() < 0.05:
+        argv.pop()
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_arguments_exit_cleanly(capsys, seed):
+    """Every argument list ends in exit 0, 1 or 2 and no exception escapes
+    main; argparse reports a usage error by exiting with status 2."""
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(80):
+        argv = fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and "usage:" in capsys.readouterr().err, argv
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+    assert {0, 2} <= codes

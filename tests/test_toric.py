@@ -166,8 +166,8 @@ def _hilbert_dim_rect_by_fractions(k, n, d):
 
 def test_hilbert_dim_rect_matches_the_fraction_product():
     for k in (1, 2, 3):
-        for n in range(k, 13):
-            for d in range(41):
+        for n in range(k, 21):
+            for d in range(61):
                 want = _hilbert_dim_rect_by_fractions(k, n, d)
                 assert hilbert_dim_rect(k, n, d) == want, (k, n, d)
 
@@ -193,7 +193,7 @@ def test_shared_slices_equal_kernel_slice_and_flatness_check():
     for parts in [(4,), (2, 3), (1, 2, 1, 1)]:
         n = sum(parts)
         pm = plucker_map_from_matching_field(BlockStructure(parts))
-        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, 500_000)
+        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, 500_000, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3)], parts
         assert flat == flatness_check(pm, 3, n, 3), parts
 
