@@ -72,8 +72,8 @@ class Monomial:
                 if not isinstance(v, VariableId):
                     v = VariableId(*v)
                 _check_variable(v, n)
-                if e < 0:
-                    raise ValueError(f"negative exponent for {v}")
+                if not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponent of {v} must be a nonnegative integer, got {e!r}")
                 if e:
                     exps[v] = e
         self.n = n
@@ -327,8 +327,8 @@ class WeightOrder:
         if set(ww) != set(prec):
             raise ValueError("weights must cover exactly the precedence variables")
         for v, w in ww.items():
-            if w < 1:
-                raise ValueError(f"weight of {v} must be a positive integer")
+            if not isinstance(w, int) or w < 1:
+                raise ValueError(f"weight of {v} must be a positive integer, got {w!r}")
         self.n = n
         self.weights = ww
         self.precedence = prec

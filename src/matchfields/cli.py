@@ -19,7 +19,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from math import comb
 from typing import Optional, Sequence
@@ -136,26 +135,13 @@ def _at_least(value: int, least: int, name: str) -> int:
     return value
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return _at_least(args.threads, 1, "--threads")
-    text = os.environ.get("MATCHFIELDS_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        raise ValueError(f"MATCHFIELDS_THREADS must be an integer, got {text!r}") from None
-    return _at_least(threads, 1, "MATCHFIELDS_THREADS")
-
-
 def _cmd_verify(args) -> _Output:
-    threads = _threads(args)
     if args.budget is not None:
         _at_least(args.budget, 0, "--budget")
     a = _structure(args)
     report = verify_theorem_main(
         a,
         w0=args.w0,
-        threads=threads,
         use_coprime_criterion=not args.no_coprime_criterion,
         budget=args.budget,
     )
@@ -369,13 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the Groebner degeneration")
     add_common(p, with_w0=True)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="at least 1; accepted for compatibility, the check runs in one "
-        "thread (default: MATCHFIELDS_THREADS or 1)",
-    )
     p.add_argument("--budget", type=int, default=None, help="cap on reduction steps")
     p.add_argument(
         "--no-coprime-criterion",

@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, TooLargeError, ZeroPolynomialError
 from .linalg import homogeneous_feasible
-from .matching import BlockStructure, generator_triples, matching_ideal, weight_matrix
+from .matching import BlockStructure, generator_triples, weight_matrix
 
 
 class _Packing(Layout):
@@ -237,7 +237,6 @@ def is_groebner(
     order: WeightOrder,
     use_coprime_criterion: bool = True,
     budget: Optional[int] = None,
-    threads: int = 1,
 ) -> GroebnerCheck:
     """Buchberger's criterion: do all S-pairs reduce to zero?
 
@@ -251,8 +250,7 @@ def is_groebner(
     skipped or reduces to zero, never when it leaves a residual.  Disable
     the option to force every reduction.  The budget caps the cancellation
     steps of the whole pass; a blown budget raises BudgetExceededError
-    rather than returning False.  threads is accepted for compatibility:
-    the check runs in the calling thread.
+    rather than returning False.
     """
     # An lcm of two leading monomials weighs at most the sum of their weights.
     packing = _Packing(order, 2 * _max_weight(basis, order))
@@ -326,7 +324,7 @@ class GroebnerReport:
 def verify_theorem_main(
     a: BlockStructure,
     w0: int = 1,
-    threads: int = 1,
+    *,
     use_coprime_criterion: bool = True,
     budget: Optional[int] = None,
 ) -> GroebnerReport:
@@ -337,10 +335,10 @@ def verify_theorem_main(
     the maximum-weight term of each minor must be unique and equal to the
     matching-field generator.  The Buchberger pass then runs under the full
     order, and finally the leading monomials are compared with the matching
-    ideal as sets.  threads is ignored, as in is_groebner.
+    ideal as sets.
     """
     n = a.n
-    ideal = matching_ideal(a)  # raises TooSmallError when n < 3
+    triples = generator_triples(a)  # raises TooSmallError when n < 3
     order = weight_matrix(a, w0)
     # Minor terms are packed straight from their variables, past the overflow
     # test of _Packing.pack.  They fit: x_a * y_b * z_c weighs at most the
@@ -354,12 +352,12 @@ def verify_theorem_main(
         for c in combinations(range(n), 3)
     )
     div = _Divider(minors, packing, budget)
+    generators = [x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
     weight, packed, monomial = packing.weight, packing.packed, packing.monomial
 
     failures: list[str] = []
     per_minor = True
-    for t, (lead, _, _, tail) in zip(generator_triples(a), div.rows):
-        expected = x[t.x - 1] + y[t.y - 1] + z[t.z - 1]
+    for t, expected, (lead, _, _, tail) in zip(triples, generators, div.rows):
         top = weight(lead)
         # A row is sorted by the order, which compares weights first.
         if weight(packed(tail[0][0])) == top:
@@ -383,7 +381,7 @@ def verify_theorem_main(
             f"S-pair of minors #{i} and #{j} leaves the nonzero residual {residual!r}"
         )
 
-    leads_match = {row[0] for row in div.rows} == set(map(packing.pack, ideal.generators))
+    leads_match = {row[0] for row in div.rows} == set(generators)
     if not leads_match:
         failures.append("leading monomials of the minors differ from the ideal")
     equals = per_minor and check.ok and leads_match

@@ -32,11 +32,11 @@ class BlockStructure:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        pp = tuple(int(p) for p in parts)
+        pp = tuple(parts)
         if not pp:
             raise ValueError("a composition needs at least one part")
-        if any(p < 1 for p in pp):
-            raise ValueError("all parts must be positive")
+        if any(not isinstance(p, int) or p < 1 for p in pp):
+            raise ValueError(f"all parts must be positive integers, got {pp}")
         object.__setattr__(self, "parts", pp)
 
     @property

@@ -298,18 +298,11 @@ def test_csv_unavailable_for_verify(capsys):
     assert "csv" in err
 
 
-def test_threads_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("MATCHFIELDS_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--blocks", "2,2")
-    assert code == 0
-    assert "PASS" in out
-
-
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["verify", "--blocks", "2,2", "--threads", "0"], "--threads"),
-        (["verify", "--blocks", "2,2", "--threads", "-3"], "--threads"),
+        (["verify", "--blocks", "2,2", "--w0", "0"], "w0"),
+        (["weights", "--blocks", "2,2", "--w0", "-1"], "w0"),
         (["verify", "--blocks", "2,2", "--budget", "-1"], "--budget"),
         (["kernel", "--blocks", "2,2", "--budget", "-1"], "--budget"),
         (["kernel", "--n", "4", "--dmax", "0"], "--dmax"),
@@ -335,13 +328,17 @@ def test_blocks_allow_whitespace_around_parts(capsys):
     assert got == want and got[0] == 0
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_bad_threads_env_variable_exits_two(capsys, monkeypatch, value):
-    monkeypatch.setenv("MATCHFIELDS_THREADS", value)
-    code, out, err = run(capsys, "verify", "--blocks", "2,2")
-    assert code == 2
+def test_threads_is_not_an_option(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--blocks", "2,2", "--threads", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert "MATCHFIELDS_THREADS" in err
+    assert "--threads" in err
+    want = run(capsys, "verify", "--blocks", "2,2", "--format", "json")
+    monkeypatch.setenv("MATCHFIELDS_THREADS", "two")
+    assert run(capsys, "verify", "--blocks", "2,2", "--format", "json") == want
+    assert want[0] == 0
 
 
 def test_zero_budget_is_a_budget_not_an_input_error(capsys):
@@ -367,8 +364,7 @@ _FUZZ_OPTIONS = {
     "generators": ["--n", "--blocks", "--format"],
     "weights": ["--n", "--blocks", "--format", "--w0"],
     "verify": [
-        "--n", "--blocks", "--format", "--w0", "--budget", "--threads",
-        "--no-coprime-criterion",
+        "--n", "--blocks", "--format", "--w0", "--budget", "--no-coprime-criterion",
     ],
     "betti": ["--n", "--blocks", "--format"],
     "cointerval": ["--n", "--blocks", "--format"],
@@ -380,7 +376,6 @@ _FUZZ_GOOD = {
     "--dmax": ["1", "2", "3"],
     "--budget": ["1", "40", "500000"],
     "--w0": ["1", "2", "7"],
-    "--threads": ["1", "2"],
     "--format": ["text", "json", "csv"],
 }
 _FUZZ_BAD = ["0", "-1", "-8", "1.5", "two", "", " ", "1e3", "0x10", "٣", "2,2", "3 "]

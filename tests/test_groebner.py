@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchfields.groebner as groebner
+from matchfields._packed import Layout
 from matchfields import (
     BlockStructure,
     BudgetExceededError,
@@ -140,30 +141,20 @@ def test_coprime_criterion_agrees_with_full_reduction():
         assert fast.s_pairs_total == slow.s_pairs_total
 
 
-def test_threads_do_not_change_verdict():
-    a = BlockStructure((3, 2))
-    one = verify_theorem_main(a, threads=1)
-    two = verify_theorem_main(a, threads=2)
-    assert one.ok and two.ok
-    assert one.s_pairs_reduced_to_zero == two.s_pairs_reduced_to_zero
-
-
 def test_verify_verdict_does_not_depend_on_the_draw():
     rng = random.Random(17)
     structures = [p for n in range(3, 6) for p in all_compositions(n)]
     for _ in range(80):
         parts = rng.choice(structures)
-        w0, threads, criteria = rng.choice((1, 2, 3)), rng.choice((1, 2)), rng.random() < 0.5
-        rep = verify_theorem_main(
-            BlockStructure(parts), w0=w0, threads=threads, use_coprime_criterion=criteria
-        )
+        w0, criteria = rng.choice((1, 2, 3)), rng.random() < 0.5
+        rep = verify_theorem_main(BlockStructure(parts), w0=w0, use_coprime_criterion=criteria)
         pairs = comb(comb(sum(parts), 3), 2)
         assert (
             rep.ok,
             rep.per_minor_initial_ok,
             rep.initial_ideal_equals_matching_ideal,
             rep.s_pairs_total,
-        ) == (True, True, True, pairs), (parts, w0, threads, criteria, rep.failures)
+        ) == (True, True, True, pairs), (parts, w0, criteria, rep.failures)
 
 
 def test_verify_theorem_small_cases():
@@ -486,7 +477,69 @@ def test_verify_builds_no_order_keys_and_only_the_ideal_monomials(monkeypatch):
     monkeypatch.setattr(WeightOrder, "key", counted("key", WeightOrder.key))
     monkeypatch.setattr(WeightOrder, "weight", counted("weight", WeightOrder.weight))
     monkeypatch.setattr(Monomial, "__init__", counted("monomial", Monomial.__init__))
-    assert verify_theorem_main(BlockStructure((6,))).ok
-    assert calls["key"] == calls["weight"] == 0
-    # The ideal's generators, one per 3-subset of columns.
-    assert calls["monomial"] <= 20
+    for parts in [(6,), (3, 3), (2, 2, 2)]:
+        assert verify_theorem_main(BlockStructure(parts)).ok
+    assert calls == {"key": 0, "weight": 0, "monomial": 0}
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The packed layouts built; every packed route starts by building one."""
+    built = []
+    init = Layout.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Layout, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0])
+def test_weight_order_rejects_a_weight_that_is_not_an_int(layouts, bad):
+    order = weight_matrix(BlockStructure((3,)))
+    f = minor_expand(3, (1, 2, 3))
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        is_groebner([f], WeightOrder(3, {**order.weights, xvar(1): bad}, order.precedence))
+    # weight_matrix passes a non-int w0 on into every weight.
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        verify_theorem_main(BlockStructure((3,)), w0=bad)
+    assert layouts == []
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0, "1"])
+def test_monomial_rejects_an_exponent_that_is_not_an_int(layouts, bad):
+    order = weight_matrix(BlockStructure((3,)))
+    f = minor_expand(3, (1, 2, 3))
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        reduce(Polynomial(3, {Monomial(3, {xvar(1): bad}): 1}), [f], order)
+    assert layouts == []
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), ["3"], (3.0,), (Fraction(3),)])
+def test_block_structure_rejects_a_part_that_is_not_an_int(layouts, parts):
+    with pytest.raises(ValueError, match="must be positive integers"):
+        verify_theorem_main(BlockStructure(parts))
+    assert layouts == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_minor_leads_match_sympy_grevlex_bases(n):
+    """With all weights 1 the order is grevlex along the precedence.  The
+    maximal minors are a universal Groebner basis with distinct squarefree
+    leading monomials, so sympy's reduced basis has exactly their leads."""
+    sympy = pytest.importorskip("sympy")
+    variables = [VariableId(f, i) for f in "xyz" for i in range(1, n + 1)]
+    minors = [minor_expand(n, c) for c in combinations(range(1, n + 1), 3)]
+    for seed in range(3):
+        precedence = random.Random(seed).sample(variables, len(variables))
+        order = WeightOrder(n, dict.fromkeys(variables, 1), precedence)
+        symbols = {v: sympy.Symbol(str(v)) for v in precedence}
+        gens = [symbols[v] for v in precedence]  # greatest first
+        basis = sympy.groebner([_to_sympy(f, symbols) for f in minors], *gens, order="grevlex")
+        want = {
+            tuple(leading_monomial(order, f).exponent(v) for v in precedence) for f in minors
+        }
+        assert {p.monoms(order="grevlex")[0] for p in basis.polys} == want, (n, seed)
+        assert is_groebner(minors, order).ok

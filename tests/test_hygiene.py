@@ -1,4 +1,4 @@
-"""Every private helper and every import of the package is used somewhere."""
+"""Every private helper, every import and every parameter of the package is used."""
 
 import ast
 from pathlib import Path
@@ -75,3 +75,29 @@ def test_every_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    """Each function reads each of its parameters; self, cls and names
+    starting with _ are exempt."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for param in params:
+                if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                    continue
+                if param.arg not in read:
+                    name = getattr(func, "name", "<lambda>")
+                    unread.append(f"{path.name}: {name}({param.arg})")
+    assert unread == []
