@@ -72,7 +72,7 @@ class Monomial:
                 if not isinstance(v, VariableId):
                     v = VariableId(*v)
                 _check_variable(v, n)
-                if not isinstance(e, int) or e < 0:
+                if type(e) is not int or e < 0:
                     raise ValueError(f"exponent of {v} must be a nonnegative integer, got {e!r}")
                 if e:
                     exps[v] = e
@@ -327,7 +327,7 @@ class WeightOrder:
         if set(ww) != set(prec):
             raise ValueError("weights must cover exactly the precedence variables")
         for v, w in ww.items():
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise ValueError(f"weight of {v} must be a positive integer, got {w!r}")
         self.n = n
         self.weights = ww

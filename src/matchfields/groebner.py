@@ -36,18 +36,18 @@ class _Packing(Layout):
     """Monomials of one WeightOrder packed into single ints.
 
     The Layout's fields run along the precedence, the least variable most
-    significant, and then hold the degree and, on top, the weight.
-
-    The division itself works on order keys key(p) = p - 2 * (p & exp_mask):
-    ints that compare as the order does (weight, then degree, then
-    reverse-lex) and, like packed ints, add under multiplication.
+    significant, and then hold the degree and, on top, the weight.  A
+    variable's field holds field - exponent, so `one` (every variable field
+    full) packs 1 and packed ints compare as the order does (weight, degree,
+    reverse-lex).  A product packs as the sum of its factors less one, and
+    lead divides term when ((lead | guards) - (term & exp_mask)) & guards == guards.
 
     Every field must hold a value <= bound.  Callers pass a bound on the
     weight of every monomial they will form; as every weight is >= 1, it
     also bounds the degree and each exponent.
     """
 
-    __slots__ = ("n", "bound", "deg_shift", "exp_mask", "vectors")
+    __slots__ = ("n", "bound", "deg_shift", "exp_mask", "one", "vectors")
 
     def __init__(self, order: WeightOrder, bound: int):
         super().__init__((*order.precedence, "degree", "weight"), bound)
@@ -55,14 +55,15 @@ class _Packing(Layout):
         self.bound = bound
         self.deg_shift = self.offset["degree"]
         self.exp_mask = (1 << self.deg_shift) - 1
-        # Each variable packed: its unit, a degree of 1 and its weight.
+        self.one = self.exp_mask & ~self.guards
+        # Each variable packed, less one: 1 off its field, a degree of 1, its weight.
         degree, weight = 1 << self.deg_shift, 1 << self.offset["weight"]
         self.vectors = {
-            v: (1 << self.offset[v]) + degree + w * weight for v, w in order.weights.items()
+            v: degree + w * weight - (1 << self.offset[v]) for v, w in order.weights.items()
         }
 
     def pack(self, m: Monomial) -> int:
-        p = sum(e * self.vectors[v] for v, e in m.items())
+        p = self.one + sum(e * self.vectors[v] for v, e in m.items())
         if self.weight(p) > self.bound:
             raise OverflowError(f"{m!r} does not fit the packing bound {self.bound}")
         return p
@@ -75,37 +76,34 @@ class _Packing(Layout):
         """The weight of packed p: its top field, which bounds the others."""
         return p >> self.offset["weight"]
 
-    def key(self, p: int) -> int:
-        return p - 2 * (p & self.exp_mask)
-
-    def packed(self, k: int) -> int:
-        return k + 2 * (-k & self.exp_mask)
+    def exponents(self, p: int) -> list[int]:
+        """The exponents of packed p, in precedence order."""
+        return [self.field - c for c in super().exponents(p)[:-2]]
 
     def support(self, p: int) -> int:
         """Bit i is set when the variable at precedence position i occurs."""
-        return sum(1 << i for i, e in enumerate(self.exponents(p & self.exp_mask)) if e)
+        return sum(1 << i for i, e in enumerate(self.exponents(p)) if e)
 
-    def lcm(self, a: int, b: int, common: int) -> tuple[int, int]:
-        """Packed lcm of packed a and b, and its degree; common is the
-        intersection of their supports."""
+    def lcm(self, a: int, b: int, common: int) -> int:
+        """Packed lcm of packed a and b; common is the intersection of their
+        supports."""
         field, width, vectors, variables = self.field, self.width, self.vectors, self.variables
         gcd = 0
         while common:
             low = common & -common
             i = low.bit_length() - 1
-            gcd += min(a >> i * width & field, b >> i * width & field) * vectors[variables[i]]
+            e = field - max(a >> i * width & field, b >> i * width & field)
+            gcd += e * vectors[variables[i]]
             common ^= low
-        l = a + b - gcd
-        return l, l >> self.deg_shift & field
+        return a + b - self.one - gcd
 
     def monomial(self, p: int) -> Monomial:
         """The Monomial of packed p."""
-        exps = self.exponents(p & self.exp_mask)
-        return Monomial(self.n, {v: e for v, e in zip(self.variables, exps) if e})
+        return Monomial(self.n, {v: e for v, e in zip(self.variables, self.exponents(p)) if e})
 
     def polynomial(self, work: Mapping[int, Fraction | int]) -> Polynomial:
-        """The Polynomial of {key: coefficient}."""
-        return Polynomial(self.n, {self.monomial(self.packed(k)): c for k, c in work.items()})
+        """The Polynomial of {packed monomial: coefficient}."""
+        return Polynomial(self.n, {self.monomial(p): c for p, c in work.items()})
 
 
 def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
@@ -118,9 +116,10 @@ class _Divider:
     """A basis packed for division, with one step budget for all its calls.
 
     Basis element i comes as its terms (packed monomial, coefficient); row i
-    holds it as (packed lm, key of lm, 1/lc, tail), the tail being its other
-    terms as (key, coefficient), greatest first.  1/lc is an int when lc is
-    +-1, so integral input stays in ints; otherwise it is a Fraction.
+    holds it as (lm, 1/lc, tail), the tail being its other terms, greatest
+    first.  1/lc is an int when lc is +-1, so integral input stays in ints;
+    otherwise it is a Fraction.  leads maps each distinct lm, guard bits set,
+    to its first row.
     """
 
     __slots__ = ("packing", "rows", "leads", "remaining")
@@ -132,21 +131,20 @@ class _Divider:
         for terms in basis:
             if not terms:
                 raise ZeroPolynomialError("basis contains the zero polynomial")
-            terms = sorted(((packing.key(p), c) for p, c in terms), reverse=True)
-            lk, lc = terms[0]
+            (lead, lc), *tail = sorted(terms, reverse=True)
             inv = lc if lc in (1, -1) else 1 / Fraction(lc)
-            row = (packing.packed(lk), lk, inv, tuple(terms[1:]))
+            row = (lead, inv, tuple(tail))
             self.rows.append(row)
-            self.leads.setdefault(row[0], row)
+            self.leads.setdefault(lead | packing.guards, row)
         self.remaining = budget
 
-    def s_polynomial(self, i: int, j: int, lcm_key: int) -> dict[int, Fraction | int]:
-        """(lcm/lt_i) * f_i - (lcm/lt_j) * f_j as {key: coefficient}."""
-        _, ki, inv, tail = self.rows[i]
-        cof = lcm_key - ki
+    def s_polynomial(self, i: int, j: int, lcm: int) -> dict[int, Fraction | int]:
+        """(lcm/lt_i) * f_i - (lcm/lt_j) * f_j as {packed monomial: coefficient}."""
+        lead, inv, tail = self.rows[i]
+        cof = lcm - lead
         work = {k + cof: c * inv for k, c in tail}
-        _, kj, inv, tail = self.rows[j]
-        cof = lcm_key - kj
+        lead, inv, tail = self.rows[j]
+        cof = lcm - lead
         for k, c in tail:
             k += cof
             v = work.get(k, 0) - c * inv
@@ -169,16 +167,16 @@ class _Divider:
         while work:
             k = max(work)
             c = work.pop(k)
-            m = (k + 2 * (-k & exp_mask)) | guards
-            for lp in leads:
-                if (m - lp) & guards == guards:
+            t = k & exp_mask
+            for lg in leads:
+                if (lg - t) & guards == guards:
                     if left is not None:
                         left -= 1
                         if left < 0:
                             raise BudgetExceededError("division step budget exhausted")
-                    _, lk, inv, tail = leads[lp]
+                    lead, inv, tail = leads[lg]
                     factor = c * inv
-                    cof = k - lk
+                    cof = k - lead
                     for tk, tc in tail:
                         tk += cof
                         v = work.get(tk, 0) - factor * tc
@@ -199,8 +197,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightOrder) -> Polynomial
     packing = _Packing(order, 2 * _max_weight([f, g], order))
     div = _Divider(map(packing.terms, (f, g)), packing, None)
     a, b = div.rows[0][0], div.rows[1][0]
-    l, _ = packing.lcm(a, b, packing.support(a) & packing.support(b))
-    return packing.polynomial(div.s_polynomial(0, 1, packing.key(l)))
+    l = packing.lcm(a, b, packing.support(a) & packing.support(b))
+    return packing.polynomial(div.s_polynomial(0, 1, l))
 
 
 def reduce(
@@ -219,8 +217,7 @@ def reduce(
     # Every term formed is <= lm(f), so no weight exceeds those of the input.
     packing = _Packing(order, _max_weight([f, *basis], order))
     div = _Divider(map(packing.terms, basis), packing, budget)
-    work = {packing.key(p): c for p, c in packing.terms(f)}
-    return packing.polynomial(div.normal_form(work))
+    return packing.polynomial(div.normal_form(dict(packing.terms(f))))
 
 
 class GroebnerCheck(NamedTuple):
@@ -276,22 +273,23 @@ def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
             settled[j] |= 1 << i
             reduced += 1
         else:
-            l, degree = packing.lcm(leads[i], leads[j], common)
-            pairs.append((degree, packing.key(l), i, j, l))
+            l = packing.lcm(leads[i], leads[j], common)
+            pairs.append((l >> packing.deg_shift & packing.field, l, i, j))
     pairs.sort()
 
-    guards = packing.guards
+    guards, exp_mask = packing.guards, packing.exp_mask
+    guarded = [p | guards for p in leads]
     witness = None
-    for _, lcm_key, i, j, l in pairs:
+    for _, l, i, j in pairs:
         chain = settled[i] & settled[j] if use_coprime_criterion else 0
-        lg = l | guards
+        t = l & exp_mask
         while chain:
             low = chain & -chain
-            if (lg - leads[low.bit_length() - 1]) & guards == guards:
+            if (guarded[low.bit_length() - 1] - t) & guards == guards:
                 break
             chain ^= low
         if not chain:
-            residual = div.normal_form(div.s_polynomial(i, j, lcm_key))
+            residual = div.normal_form(div.s_polynomial(i, j, l))
             if residual:
                 if witness is None:
                     witness = (i, j, packing.polynomial(residual))
@@ -346,23 +344,24 @@ def verify_theorem_main(
     # most twice that; division forms no term above such an lcm.
     heaviest = [max(w for v, w in order.weights.items() if v.family == f) for f in FAMILIES]
     packing = _Packing(order, 2 * sum(heaviest))
+    one = packing.one
     x, y, z = ([packing.vectors[VariableId(f, c)] for c in range(1, n + 1)] for f in FAMILIES)
     minors = (
-        [(x[c[i]] + y[c[j]] + z[c[k]], sign) for (i, j, k), sign in _ARRANGEMENTS]
+        [(one + x[c[i]] + y[c[j]] + z[c[k]], sign) for (i, j, k), sign in _ARRANGEMENTS]
         for c in combinations(range(n), 3)
     )
     div = _Divider(minors, packing, budget)
-    generators = [x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
-    weight, packed, monomial = packing.weight, packing.packed, packing.monomial
+    generators = [one + x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
+    weight, monomial = packing.weight, packing.monomial
 
     failures: list[str] = []
     per_minor = True
-    for t, expected, (lead, _, _, tail) in zip(triples, generators, div.rows):
+    for t, expected, (lead, _, tail) in zip(triples, generators, div.rows):
         top = weight(lead)
         # A row is sorted by the order, which compares weights first.
-        if weight(packed(tail[0][0])) == top:
+        if weight(tail[0][0]) == top:
             per_minor = False
-            argmax = [lead] + [packed(k) for k, _ in tail if weight(packed(k)) == top]
+            argmax = [lead] + [p for p, _ in tail if weight(p) == top]
             failures.append(
                 f"minor {t.subset()}: maximum weight {top} attained by "
                 f"{len(argmax)} terms: {sorted(repr(monomial(p)) for p in argmax)}"
@@ -426,14 +425,7 @@ def attainable_initial_supports(
     if m_count > max_terms:
         raise TooLargeError(f"{m_count} terms exceeds the limit of {max_terms}")
     variables = sorted({v for m in monos for v in m.variables()})
-    vpos = {v: i for i, v in enumerate(variables)}
-    dim = len(variables)
-    vecs = []
-    for m in monos:
-        row = [0] * dim
-        for v, e in m.items():
-            row[vpos[v]] = e
-        vecs.append(tuple(row))
+    vecs = [tuple(m.exponent(v) for v in variables) for m in monos]
 
     out: set[frozenset[Monomial]] = set()
     for mask in range(1, 1 << m_count):

@@ -35,7 +35,7 @@ class BlockStructure:
         pp = tuple(parts)
         if not pp:
             raise ValueError("a composition needs at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in pp):
+        if any(type(p) is not int or p < 1 for p in pp):
             raise ValueError(f"all parts must be positive integers, got {pp}")
         object.__setattr__(self, "parts", pp)
 
@@ -152,8 +152,8 @@ def weight_matrix(a: BlockStructure, w0: int = 1) -> WeightOrder:
     The precedence list breaking ties is z_n..z_3, then the y's block by
     block (descending inside each block), then z_2, z_1, then x_1..x_n.
     """
-    if w0 < 1:
-        raise ValueError("w0 must be a positive integer")
+    if type(w0) is not int or w0 < 1:
+        raise ValueError(f"w0 must be a positive integer, got {w0!r}")
     n, r = a.n, a.r
     alpha = a.alphas
 

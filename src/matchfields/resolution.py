@@ -146,10 +146,11 @@ def betti_from_certificate(cert: QuotientCertificate) -> BettiTable:
 
 
 def betti_diagonal_closed_form(n: int, ell: int) -> int:
-    """Closed form for the one-block (diagonal) ideal on n columns."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    return sum(comb(k - 1, 2) * comb(k - 3, ell) for k in range(3, n + 1))
+    """Closed form for the one-block (diagonal) ideal on n columns: the
+    Eagon-Northcott Betti numbers of the maximal minors, which degenerate onto it."""
+    if n < 3 or ell < 0:
+        raise ValueError("need n >= 3 and ell >= 0")
+    return comb(n, 3 + ell) * comb(2 + ell, ell)
 
 
 def betti_diagonal_table(n: int) -> BettiTable:

@@ -251,6 +251,8 @@ def hilbert_dim_rect(k: int, n: int, d: int) -> int:
     (d + j - i) / (j - i) over 1 <= i <= k < j <= n.  That is k * (n - k)
     factors, independent of d, where the hook content formula has k * d.
     """
+    if any(type(x) is not int for x in (k, n, d)):
+        raise ValueError(f"k, n and d must be integers, got {k!r}, {n!r} and {d!r}")
     if d == 0:
         return 1
     if k < 1 or n < k or d < 0:

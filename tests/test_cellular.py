@@ -29,18 +29,7 @@ from matchfields import (
     zy_layer,
 )
 
-
-def all_compositions(n):
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+from helpers import all_compositions
 
 
 def test_dgraph_validation():

@@ -35,18 +35,7 @@ from matchfields import (
 )
 from itertools import combinations
 
-
-def all_compositions(n):
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+from helpers import all_compositions
 
 
 def _unit_order(n):
@@ -451,14 +440,13 @@ def test_packed_minors_match_minor_expand(monkeypatch):
                 packing = div.packing
                 assert len(div.rows) == len(subsets)
                 leads = []
-                for cols, (lead, lead_key, inv, tail) in zip(subsets, div.rows):
+                for cols, (lead, inv, tail) in zip(subsets, div.rows):
                     f = minor_expand(n, cols)
-                    terms = {lead_key: 1 / Fraction(inv), **dict(tail)}
+                    terms = {lead: 1 / Fraction(inv), **dict(tail)}
                     assert packing.polynomial(terms) == f
                     leads.append(leading_monomial(order, f))
                     assert packing.monomial(lead) == leads[-1]
-                    for k in terms:
-                        p = packing.packed(k)
+                    for p in terms:
                         assert packing.weight(p) == order.weight(packing.monomial(p))
                 for g, h in combinations(leads, 2):
                     assert order.weight(g.lcm(h)) <= packing.bound
@@ -496,7 +484,7 @@ def layouts(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0])
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0, True, False])
 def test_weight_order_rejects_a_weight_that_is_not_an_int(layouts, bad):
     order = weight_matrix(BlockStructure((3,)))
     f = minor_expand(3, (1, 2, 3))
@@ -508,7 +496,7 @@ def test_weight_order_rejects_a_weight_that_is_not_an_int(layouts, bad):
     assert layouts == []
 
 
-@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0, "1"])
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), 2.0, "1", True, False])
 def test_monomial_rejects_an_exponent_that_is_not_an_int(layouts, bad):
     order = weight_matrix(BlockStructure((3,)))
     f = minor_expand(3, (1, 2, 3))
@@ -517,7 +505,9 @@ def test_monomial_rejects_an_exponent_that_is_not_an_int(layouts, bad):
     assert layouts == []
 
 
-@pytest.mark.parametrize("parts", [(2.7, 1), ["3"], (3.0,), (Fraction(3),)])
+@pytest.mark.parametrize(
+    "parts", [(2.7, 1), ["3"], (3.0,), (Fraction(3),), (True, 2), (3, False)]
+)
 def test_block_structure_rejects_a_part_that_is_not_an_int(layouts, parts):
     with pytest.raises(ValueError, match="must be positive integers"):
         verify_theorem_main(BlockStructure(parts))

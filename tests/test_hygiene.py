@@ -101,3 +101,20 @@ def test_every_parameter_is_read():
                     name = getattr(func, "name", "<lambda>")
                     unread.append(f"{path.name}: {name}({param.arg})")
     assert unread == []
+
+
+def test_all_is_the_version_and_each_import_once():
+    """__all__ lists __version__ and exactly the names __init__.py imports,
+    none of them twice."""
+    import matchfields
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = matchfields.__all__
+    assert len(set(exported)) == len(exported)
+    assert sorted(exported) == sorted(["__version__", *imported])

@@ -1,6 +1,7 @@
 """Block structures, generator triples, weight matrices, block ordering."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -28,18 +29,7 @@ from matchfields import (
     zvar,
 )
 
-
-def all_compositions(n):
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+from helpers import all_compositions
 
 
 def test_block_structure_basics():
@@ -155,6 +145,12 @@ def test_weight_matrix_w0_shift():
     # z weights above index 2 step by n - 2 from the last y of block one.
     assert o5.weights[zvar(3)] == o5.weights[yvar(3)] + (5 - 2)
     assert o5.weights[zvar(4)] == o5.weights[yvar(3)] + 2 * (5 - 2)
+
+
+@pytest.mark.parametrize("bad", ["2", 1.5, 2.0, Fraction(2), True, False, 0, None])
+def test_weight_matrix_rejects_a_w0_that_is_not_a_positive_int(bad):
+    with pytest.raises(ValueError, match="^w0 must be a positive integer"):
+        weight_matrix(BlockStructure((3, 2)), bad)
 
 
 def test_weight_matrix_y_row_is_a_permutation_of_a_range():

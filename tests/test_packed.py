@@ -68,19 +68,35 @@ def random_order(rng):
     return WeightOrder(N, weights, rng.sample(VARIABLES, len(VARIABLES)))
 
 
+def packing_divides(packing, lead, term):
+    guards = packing.guards
+    return ((lead | guards) - (term & packing.exp_mask)) & guards == guards
+
+
 def test_packing_matches_dict_monomials():
+    """One int per monomial: it compares as the order does, tests
+    divisibility, multiplies, takes lcms and unpacks like dict Monomials."""
     rng = random.Random(7)
-    for _ in range(300):
+    for _ in range(400):
         order = random_order(rng)
         a, b = random_monomial(rng, 3), random_monomial(rng, 3)
         packing = _Packing(order, 2 * max(order.weight(a), order.weight(b)))
-        pa, pb = packing.pack(a), packing.pack(b)
-        assert packing.pack(a * b) == pa + pb
-        l, degree = packing.lcm(pa, pb, packing.support(pa) & packing.support(pb))
+        pa, pb, pab = packing.pack(a), packing.pack(b), packing.pack(a * b)
+        assert packing.pack(Monomial.one(N)) == packing.one
+        assert pab == pa + pb - packing.one
+        assert (pa < pb) == (order.key(a) < order.key(b))
+        assert (pa == pb) == (a == b)
+        for g, h in ((a, b), (b, a), (a, a * b), (b, a * b), (a * b, a)):
+            assert packing_divides(packing, packing.pack(g), packing.pack(h)) == g.divides(h)
+        assert [v for i, v in enumerate(order.precedence) if packing.support(pa) >> i & 1] == [
+            v for v in order.precedence if a.exponent(v)
+        ]
+        l = packing.lcm(pa, pb, packing.support(pa) & packing.support(pb))
         assert l == packing.pack(a.lcm(b))
-        assert degree == a.lcm(b).degree
-        assert list(packing.polynomial({packing.key(l): 1}).monomials()) == [a.lcm(b)]
-        assert (packing.key(pa) < packing.key(pb)) == (order.key(a) < order.key(b))
+        assert l >> packing.deg_shift & packing.field == a.lcm(b).degree
+        assert packing.exponents(l) == [a.lcm(b).exponent(v) for v in order.precedence]
+        assert packing.monomial(pa) == a and packing.monomial(pab) == a * b
+        assert list(packing.polynomial({l: 1}).monomials()) == [a.lcm(b)]
 
 
 def test_packing_rejects_monomials_past_its_bound():
@@ -88,6 +104,6 @@ def test_packing_rejects_monomials_past_its_bound():
     for m in (Monomial.of(5, *VARIABLES[:3]), Monomial.of(5, VARIABLES[2], VARIABLES[2])):
         w = order.weight(m)
         packing = _Packing(order, w)
-        assert list(packing.polynomial({packing.key(packing.pack(m)): 1}).monomials()) == [m]
+        assert list(packing.polynomial({packing.pack(m): 1}).monomials()) == [m]
         with pytest.raises(OverflowError):
             _Packing(order, w - 1).pack(m)

@@ -34,18 +34,7 @@ from matchfields import resolution
 from matchfields.errors import TooLargeError
 from matchfields.linalg import rational_rank
 
-
-def all_compositions(n):
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+from helpers import all_compositions
 
 
 def test_betti_table_container():
@@ -127,6 +116,18 @@ def test_diagonal_closed_form_frozen_tables():
     assert list(betti_diagonal_table(7)) == [35, 105, 126, 70, 15]
     assert betti_diagonal_closed_form(6, 0) == 20
     assert betti_diagonal_closed_form(6, 9) == 0
+
+
+def test_diagonal_closed_form_is_the_eagon_northcott_product():
+    """The product C(n, 3 + ell) * C(2 + ell, ell) against the sum over the
+    largest column k of the lex colon sets, which have size k - 3."""
+    for n in range(3, 40):
+        for ell in range(n):
+            want = sum(comb(k - 1, 2) * comb(k - 3, ell) for k in range(3, n + 1))
+            assert betti_diagonal_closed_form(n, ell) == want, (n, ell)
+    for n, ell in ((2, 0), (5, -1), (3, -2)):
+        with pytest.raises(ValueError):
+            betti_diagonal_closed_form(n, ell)
 
 
 def test_diagonal_closed_form_equals_certificate():

@@ -28,18 +28,7 @@ from matchfields import (
 from matchfields import toric
 from matchfields.linalg import rational_rank
 
-
-def all_compositions(n):
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+from helpers import all_compositions
 
 
 def test_plucker_map_validation():
@@ -149,6 +138,15 @@ def test_hilbert_dim_rect_frozen_values():
         hilbert_dim_rect(0, 3, 1)
     with pytest.raises(ValueError):
         hilbert_dim_rect(3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "k, n, d",
+    [(3, 6, 2.0), (3.0, 6, 2), (3, 6.0, 0), (3, 6, Fraction(2)), (True, 4, 1), (2, 4, False)],
+)
+def test_hilbert_dim_rect_rejects_an_argument_that_is_not_an_int(k, n, d):
+    with pytest.raises(ValueError, match="must be integers"):
+        hilbert_dim_rect(k, n, d)
 
 
 def _hilbert_dim_rect_by_fractions(k, n, d):
