@@ -154,9 +154,9 @@ def betti_diagonal_closed_form(n: int, ell: int) -> int:
 
 
 def betti_diagonal_table(n: int) -> BettiTable:
-    return BettiTable(
-        tuple(betti_diagonal_closed_form(n, l) for l in range(n - 2))
-    )
+    if type(n) is not int or n < 3:
+        raise ValueError(f"need an integer n >= 3, got {n!r}")
+    return BettiTable(tuple(betti_diagonal_closed_form(n, l) for l in range(n - 2)))
 
 
 def diagonal_lex_sets(n: int) -> list[tuple[GeneratorTriple, frozenset[VariableId]]]:

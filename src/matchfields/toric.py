@@ -11,9 +11,9 @@ check.
 The slices work on integer image codes: each image's exponent vector is
 packed into one int, with fields wide enough that a product of d images
 never carries, so the code of a product is the sum of its factors' codes
-and equal codes mean equal images.  The part of a slice that lower degrees
-reach is spanned by binomials e_p - e_q, and its rank is counted by
-union-find.
+and equal codes mean equal images.  Lower degrees reach the binomials
+m u - m' u of a fibre, whose sides share a Pluecker variable u (m - m' is in
+the kernel too), and no others: new generators need no lower fibres.
 """
 
 from __future__ import annotations
@@ -159,37 +159,35 @@ def _spanning_binomials(
     return out
 
 
-def _rank_from_below(below: dict[int, list[Combo]], s: int, d: int) -> int:
-    """Rank of the degree-(d-1) kernel times the variables, in degree d,
-    from the degree-(d-1) fibres below over s Pluecker variables.
+def _new_generators(fibres: dict[int, list[Combo]]) -> int:
+    """The dimension of the degree-d slice that lower degrees do not reach.
 
-    This is all of the degree-d kernel that lower degrees reach, because
-    K_{d2} * S_{d-1-d2} lies in K_{d-1} for every d2 < d.  Each row
-    e_p - e_q joins two degree-d monomials, so the rank is the number of
-    vertices less the number of components of the graph these edges span:
-    the count of successful union-find merges, which is exact over Q.
-    Monomials are keyed by their exponent vectors, packed with fields that
-    hold values up to d.
+    Lower degrees reach K_{d-1} * S_1, since K_{d2} * S_{d-1-d2} lies in
+    K_{d-1} for every d2 < d.  Its row (m - m') * u joins the members m u
+    and m' u of one fibre, which share the variable u; and any two members
+    m u and m' u of a fibre are joined so, for m and m' have equal images
+    too.  With c_F classes in a fibre F, members joining when their
+    supports meet, the rank is sum (|F| - c_F), exact over Q, and what is
+    new is sum (c_F - 1).  A class is the bitmask of its members'
+    variables, and each member absorbs every class it meets.
     """
-    unit = list(Layout(range(s), d).units)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while (p := parent.get(x, x)) != x:
-            parent[x] = x = parent.get(p, p)
-        return x
-
-    merges = 0
-    for members in below.values():
-        keys = [sum(unit[i] for i in combo) for combo in members]
-        root = keys.pop()
-        for other in keys:
-            for u in unit:
-                a, b = find(other + u), find(root + u)
-                if a != b:
-                    parent[a] = b
-                    merges += 1
-    return merges
+    new = 0
+    for members in (f for f in fibres.values() if len(f) > 1):
+        classes: list[int] = []
+        for combo in members:
+            support = 0
+            for i in combo:
+                support |= 1 << i
+            apart = []
+            for c in classes:
+                if c & support:
+                    support |= c
+                else:
+                    apart.append(c)
+            apart.append(support)
+            classes = apart
+        new += len(classes) - 1
+    return new
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,8 @@ class KernelSlice:
     the slice has more of them than its builder was asked to build;
     kernel_slice always builds them.
     new_minimal_generators counts the dimension not reachable by multiplying
-    lower-degree kernel elements by monomials.
+    lower-degree kernel elements by monomials: per fibre, its classes less
+    one, where members that share a Pluecker variable join one class.
     """
 
     degree: int
@@ -212,21 +211,19 @@ class KernelSlice:
 
 
 def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice:
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    fibres = _fibres(pmap, d, budget)
-    below = _fibres(pmap, d - 1, budget) if d > 1 else {}
-    return _slice(pmap, d, fibres, below)
+    if type(d) is not int or d < 1:
+        raise ValueError(f"degree must be an integer of at least 1, got {d!r}")
+    return _slice(pmap, d, _fibres(pmap, d, budget))
 
 
 def _slice(
     pmap: PluckerMap,
     d: int,
     fibres: dict[int, list[Combo]],
-    below: dict[int, list[Combo]],
     max_binomials: Optional[int] = None,
 ) -> KernelSlice:
-    """The degree-d slice from the fibres of degree d and d - 1.
+    """The degree-d slice from the degree-d fibres alone: lower degrees join
+    two members of a fibre exactly when they share a Pluecker variable.
 
     The spanning binomials are built unless there are more than
     max_binomials of them; there are exactly dimension many, one per
@@ -239,7 +236,7 @@ def _slice(
         degree=d,
         dimension=dimension,
         binomials=tuple(_spanning_binomials(fibres, s)) if build else None,
-        new_minimal_generators=dimension - _rank_from_below(below, s, d),
+        new_minimal_generators=_new_generators(fibres),
     )
 
 
@@ -253,8 +250,6 @@ def hilbert_dim_rect(k: int, n: int, d: int) -> int:
     """
     if any(type(x) is not int for x in (k, n, d)):
         raise ValueError(f"k, n and d must be integers, got {k!r}, {n!r} and {d!r}")
-    if d == 0:
-        return 1
     if k < 1 or n < k or d < 0:
         raise ValueError("need 1 <= k <= n and d >= 0")
     pairs = [(i, j) for i in range(1, k + 1) for j in range(k + 1, n + 1)]
@@ -280,6 +275,8 @@ def flatness_check(
     """Check the map's image has the same size in each degree <= dmax as the
     space of semistandard rectangle fillings: the Hilbert functions agree in
     every degree <= dmax, a finite check."""
+    if type(dmax) is not int or dmax < 0:
+        raise ValueError(f"dmax must be a nonnegative integer, got {dmax!r}")
     sizes = (len(_fibres(pmap, d, budget)) if d else 1 for d in range(dmax + 1))
     return _flatness(k, n, sizes)
 
@@ -303,12 +300,10 @@ def _kernel_and_flatness(
     has at most max_binomials of them (all of them when it is None)."""
     slices = []
     sizes = [1]
-    below: dict[int, list[Combo]] = {}
     for d in range(1, dmax + 1):
         fibres = _fibres(pmap, d, budget)
-        slices.append(_slice(pmap, d, fibres, below, max_binomials))
+        slices.append(_slice(pmap, d, fibres, max_binomials))
         sizes.append(len(fibres))
-        below = fibres
     return slices, _flatness(k, n, sizes)
 
 

@@ -118,6 +118,12 @@ def test_diagonal_closed_form_frozen_tables():
     assert betti_diagonal_closed_form(6, 9) == 0
 
 
+@pytest.mark.parametrize("n", [2, 0, -1, True, 6.0, "6"])
+def test_diagonal_table_rejects_n_that_is_too_small_or_not_an_int(n):
+    with pytest.raises(ValueError, match="need an integer n >= 3"):
+        betti_diagonal_table(n)
+
+
 def test_diagonal_closed_form_is_the_eagon_northcott_product():
     """The product C(n, 3 + ell) * C(2 + ell, ell) against the sum over the
     largest column k of the lex colon sets, which have size k - 3."""

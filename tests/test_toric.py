@@ -1,5 +1,6 @@
 """Pluecker monomial maps, kernel slices, and Hilbert-function flatness."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -121,6 +122,25 @@ def test_kernel_generated_in_degree_two_for_n5():
     assert ks3.new_minimal_generators == 0
 
 
+@pytest.mark.parametrize("d", [0, -1, True, 2.0])
+def test_kernel_slice_rejects_a_degree_that_is_not_a_positive_int(d):
+    pm = plucker_map_from_matching_field(BlockStructure((4,)))
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        kernel_slice(pm, d)
+
+
+@pytest.mark.parametrize("dmax", [-1, True, False, 2.0])
+def test_flatness_check_rejects_a_dmax_that_is_not_a_nonnegative_int(dmax):
+    pm = plucker_map_from_matching_field(BlockStructure((6,)))
+    with pytest.raises(ValueError, match="dmax must be a nonnegative integer"):
+        flatness_check(pm, 3, 6, dmax)
+
+
+def test_flatness_check_to_degree_zero():
+    pm = plucker_map_from_matching_field(BlockStructure((6,)))
+    assert flatness_check(pm, 3, 6, 0) == toric.FlatnessReport(ok=True, rows=((0, 1, 1),))
+
+
 def test_kernel_budget():
     pm = plucker_map_from_matching_field(BlockStructure((6,)))
     with pytest.raises(TooLargeError):
@@ -138,6 +158,10 @@ def test_hilbert_dim_rect_frozen_values():
         hilbert_dim_rect(0, 3, 1)
     with pytest.raises(ValueError):
         hilbert_dim_rect(3, 2, 1)
+    # Degree 0 checks k and n as every other degree does.
+    for k, n in [(0, 3), (5, 3)]:
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            hilbert_dim_rect(k, n, 0)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +218,10 @@ def test_shared_slices_equal_kernel_slice_and_flatness_check():
         slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, 500_000, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3)], parts
         assert flat == flatness_check(pm, 3, n, 3), parts
+    for i, pm in enumerate(random_plucker_maps()):
+        slices, flat = toric._kernel_and_flatness(pm, 2, 5, 4, 500_000, None)
+        assert slices == [kernel_slice(pm, d) for d in (1, 2, 3, 4)], i
+        assert flat == flatness_check(pm, 2, 5, 4), i
 
 
 def test_flatness_fails_for_a_non_injective_map():
@@ -279,6 +307,26 @@ def repeated_power_map():
     return PluckerMap(tuple(combinations(range(1, 5), 2)), images)
 
 
+def random_plucker_maps(count=200):
+    """Seeded maps from 3 to 6 of the ten 2-subsets of 1..5, each image a
+    monomial in x1 and y1 with exponents up to 3, and the first image
+    repeated: no map is injective, and about a third of them have new
+    kernel generators in degree 2, 3 or 4."""
+    rng = random.Random(14)
+    subsets = list(combinations(range(1, 6), 2))
+    maps = []
+    for _ in range(count):
+        s = rng.randint(3, 6)
+        images = [
+            Monomial(2, {xvar(1): rng.randint(0, 3), yvar(1): rng.randint(0, 3)})
+            for _ in range(s)
+        ]
+        images[rng.randrange(1, s)] = images[0]
+        source = tuple(sorted(rng.sample(subsets, s)))
+        maps.append(PluckerMap(source, tuple(images)))
+    return maps
+
+
 def differential_cases():
     cases = [
         (parts, d) for n in range(3, 7) for parts in all_compositions(n) for d in (1, 2)
@@ -307,6 +355,25 @@ def test_kernel_slice_matches_reference(parts, d):
 def test_kernel_slice_matches_reference_on_other_maps(pm, dmax):
     for d in range(1, dmax + 1):
         assert kernel_slice(pm, d) == reference_kernel_slice(pm, d)
+
+
+def test_kernel_slice_matches_reference_on_random_maps():
+    for i, pm in enumerate(random_plucker_maps()):
+        for d in range(1, 5):
+            assert kernel_slice(pm, d) == reference_kernel_slice(pm, d), (i, d)
+
+
+def test_kernel_slice_builds_only_its_own_degree(monkeypatch):
+    built = []
+    fibres = toric._fibres
+
+    def counting(pmap, d, budget):
+        built.append(d)
+        return fibres(pmap, d, budget)
+
+    monkeypatch.setattr(toric, "_fibres", counting)
+    kernel_slice(plucker_map_from_matching_field(BlockStructure((2, 3))), 3)
+    assert built == [3]
 
 
 def test_repeated_power_map_is_exercised():
