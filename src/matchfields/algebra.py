@@ -54,7 +54,7 @@ def zvar(i: int) -> VariableId:
 def _check_variable(v: VariableId, n: int) -> None:
     if v.family not in FAMILIES:
         raise ValueError(f"unknown variable family {v.family!r}")
-    if not 1 <= v.index <= n:
+    if type(v.index) is not int or not 1 <= v.index <= n:
         raise ValueError(f"variable index {v.index} outside [1, {n}]")
 
 
@@ -387,12 +387,11 @@ def minor_expand(n: int, columns: Iterable[int]) -> Polynomial:
     products x_a * y_b * z_c over arrangements (a, b, c) of the columns.
     """
     cols = tuple(columns)
+    if any(type(c) is not int or not 1 <= c <= n for c in cols):
+        raise InvalidColumnsError(f"columns {cols} outside [1, {n}]")
     if len(cols) != 3 or len(set(cols)) != 3:
         raise InvalidColumnsError(f"need three distinct columns, got {cols}")
-    i, j, k = sorted(cols)
-    if not (1 <= i and k <= n):
-        raise InvalidColumnsError(f"columns {cols} outside [1, {n}]")
-    srt = (i, j, k)
+    srt = tuple(sorted(cols))
     pairs = []
     for perm, sign in _ARRANGEMENTS:
         m = Monomial.of(n, xvar(srt[perm[0]]), yvar(srt[perm[1]]), zvar(srt[perm[2]]))

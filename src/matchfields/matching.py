@@ -2,16 +2,16 @@
 
 A composition a = (a_1, ..., a_r) of n cuts the column indices 1..n into
 consecutive blocks I_1, ..., I_r.  Each 3-subset {i < j < k} of columns is
-assigned one product of three variables (its generator): if the first block
-meeting the subset contains exactly one of its elements the x and y indices
-are swapped, otherwise they keep the natural order.  The resulting monomials,
+assigned one product of three variables (its generator): the x and y indices
+are swapped when j lies outside i's block, otherwise they keep the natural
+order.  Blocks are intervals, so that is exactly when the first block meeting
+the subset contains one of its elements.  The resulting monomials,
 the accompanying weight matrix, and a linear "block ordering" on the
 generators are the combinatorial core of everything else in the package.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple
@@ -38,6 +38,10 @@ class BlockStructure:
         if any(type(p) is not int or p < 1 for p in pp):
             raise ValueError(f"all parts must be positive integers, got {pp}")
         object.__setattr__(self, "parts", pp)
+        # Column -> block table, indexed by column; entry 0 is unused.  It is
+        # not a dataclass field, so ==, hash and repr read parts alone.
+        table = (0,) + tuple(t for t, p in enumerate(pp, 1) for _ in range(p))
+        object.__setattr__(self, "_blocks", table)
 
     @property
     def n(self) -> int:
@@ -55,15 +59,15 @@ class BlockStructure:
     def block(self, t: int) -> range:
         """The t-th block I_t as a range of column indices (1-based t)."""
         a = self.alphas
-        if not 1 <= t <= self.r:
+        if type(t) is not int or not 1 <= t <= self.r:
             raise ValueError(f"block index {t} outside [1, {self.r}]")
         return range(a[t - 1] + 1, a[t] + 1)
 
     def block_of(self, i: int) -> int:
         """Index t of the block containing column i."""
-        if not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise ValueError(f"column {i} outside [1, {self.n}]")
-        return bisect_left(self.alphas, i)
+        return self._blocks[i]
 
     def __repr__(self) -> str:
         return f"BlockStructure({list(self.parts)})"
@@ -87,18 +91,18 @@ class GeneratorTriple(NamedTuple):
 def generator(a: BlockStructure, subset: Iterable[int]) -> GeneratorTriple:
     """Generator triple assigned to a 3-subset of columns.
 
-    With {i < j < k} and s the first block meeting the subset: the triple is
-    (j, i, k) when the subset meets I_s in exactly one element, else (i, j, k).
+    With {i < j < k}: the triple is (j, i, k) when j lies outside i's block,
+    else (i, j, k).  Blocks are intervals, so j lies outside i's block exactly
+    when the first block meeting the subset contains one of its elements.
     """
     cols = tuple(subset)
+    n = a.n
+    if any(type(c) is not int or not 1 <= c <= n for c in cols):
+        raise InvalidSubsetError(f"columns {cols} outside [1, {n}]")
     if len(cols) != 3 or len(set(cols)) != 3:
         raise InvalidSubsetError(f"need three distinct columns, got {cols}")
     i, j, k = sorted(cols)
-    if i < 1 or k > a.n:
-        raise InvalidSubsetError(f"columns {cols} outside [1, {a.n}]")
-    s = a.block_of(i)
-    hits = sum(1 for c in (i, j, k) if a.block_of(c) == s)
-    if hits == 1:
+    if a.block_of(i) != a.block_of(j):
         return GeneratorTriple(j, i, k)
     return GeneratorTriple(i, j, k)
 
@@ -107,7 +111,11 @@ def generator_triples(a: BlockStructure) -> list[GeneratorTriple]:
     """All generator triples, one per 3-subset of columns, in subset order."""
     if a.n < 3:
         raise TooSmallError(f"need n >= 3 columns, got n = {a.n}")
-    return [generator(a, c) for c in combinations(range(1, a.n + 1), 3)]
+    blocks = a._blocks
+    return [
+        GeneratorTriple(j, i, k) if blocks[i] != blocks[j] else GeneratorTriple(i, j, k)
+        for i, j, k in combinations(range(1, a.n + 1), 3)
+    ]
 
 
 @dataclass(frozen=True)
@@ -145,10 +153,11 @@ def matching_ideal(a: BlockStructure) -> MonomialIdeal:
 def weight_matrix(a: BlockStructure, w0: int = 1) -> WeightOrder:
     """Weight order attached to the block structure.
 
-    All x-weights equal w0.  The y-weights fill the values w0+1 .. w0+n block
-    by block starting from the last block, ascending inside each block, so
-    earlier blocks carry the larger weights.  The z-weights start at w0 for
-    z_1, z_2 and then grow in steps of n-2 on top of the largest y-weight.
+    With alpha the prefix sums of the parts, and j in block s: x_j = w0;
+    y_j = w0 + (n - alpha_s) + (j - alpha_{s-1}); z_1 = z_2 = w0, and
+    z_j = w0 + n + (n - 2)(j - 2) for j >= 3.  So the y-weights fill
+    w0+1 .. w0+n from the last block to the first, ascending inside each
+    block, and the z-weights step by n - 2 above the largest y-weight.
     The precedence list breaking ties is z_n..z_3, then the y's block by
     block (descending inside each block), then z_2, z_1, then x_1..x_n.
     """
@@ -157,27 +166,12 @@ def weight_matrix(a: BlockStructure, w0: int = 1) -> WeightOrder:
     n, r = a.n, a.r
     alpha = a.alphas
 
-    yw: dict[int, int] = {}
-    for s in range(r, 0, -1):
-        first = alpha[s - 1] + 1
-        yw[first] = (w0 + 1) if s == r else yw[alpha[s + 1]] + 1
-        for j in range(first + 1, alpha[s] + 1):
-            yw[j] = yw[first] + (j - first)
-
-    zw: dict[int, int] = {}
-    if n >= 1:
-        zw[1] = w0
-    if n >= 2:
-        zw[2] = w0
-    top_y = yw[alpha[1]]
-    for i in range(3, n + 1):
-        zw[i] = top_y + (n - 2) * (i - 2)
-
     weights: dict[VariableId, int] = {}
-    for i in range(1, n + 1):
-        weights[xvar(i)] = w0
-        weights[yvar(i)] = yw[i]
-        weights[zvar(i)] = zw[i]
+    for j in range(1, n + 1):
+        s = a._blocks[j]
+        weights[xvar(j)] = w0
+        weights[yvar(j)] = w0 + (n - alpha[s]) + (j - alpha[s - 1])
+        weights[zvar(j)] = w0 if j <= 2 else w0 + n + (n - 2) * (j - 2)
 
     precedence: list[VariableId] = [zvar(i) for i in range(n, 2, -1)]
     for s in range(1, r + 1):

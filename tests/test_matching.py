@@ -1,5 +1,6 @@
 """Block structures, generator triples, weight matrices, block ordering."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 from matchfields import (
     BlockStructure,
     GeneratorTriple,
+    InvalidColumnsError,
     InvalidSubsetError,
     MonomialIdeal,
     Monomial,
@@ -19,6 +21,7 @@ from matchfields import (
     generator,
     generator_triples,
     matching_ideal,
+    minor_expand,
     s_set,
     s_set_variables,
     s_size_closed_form,
@@ -28,6 +31,8 @@ from matchfields import (
     yvar,
     zvar,
 )
+
+from matchfields import matching
 
 from helpers import all_compositions
 
@@ -69,6 +74,19 @@ def test_generator_swap_rule():
     assert generator(c, (1, 4, 5)) == GeneratorTriple(4, 1, 5)
     assert generator(c, (3, 4, 5)) == GeneratorTriple(4, 3, 5)
     assert generator(c, (1, 2, 3)) == GeneratorTriple(1, 2, 3)
+    # Every composition: generator and generator_triples both follow the
+    # literal rule, which counts the columns in the first block that meets
+    # the subset and swaps when that count is one.
+    for n in range(3, 11):
+        for parts in all_compositions(n):
+            d = BlockStructure(parts)
+            block = [t for t, p in enumerate(parts, 1) for _ in range(p)]
+            expected = []
+            for i, j, k in combinations(range(1, n + 1), 3):
+                hits = sum(block[c - 1] == block[i - 1] for c in (i, j, k))
+                expected.append(GeneratorTriple(j, i, k) if hits == 1 else GeneratorTriple(i, j, k))
+            assert generator_triples(d) == expected, parts
+            assert [generator(d, t.subset()) for t in expected] == expected, parts
 
 
 def test_generator_accepts_unsorted_and_validates():
@@ -82,6 +100,25 @@ def test_generator_accepts_unsorted_and_validates():
         generator(a, (0, 1, 2))
     with pytest.raises(InvalidSubsetError):
         generator(a, (4, 5, 6))
+    with pytest.raises(InvalidSubsetError):
+        generator(a, "123")
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(2), True, "2"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda c: generator(BlockStructure((3, 2)), (c, 4, 5)), InvalidSubsetError),
+        (lambda c: BlockStructure((3, 2)).block_of(c), ValueError),
+        (lambda c: BlockStructure((3, 2)).block(c), ValueError),
+        (lambda c: Monomial(5, {VariableId("x", c): 1}), ValueError),
+        (lambda c: minor_expand(5, (c, 4, 5)), InvalidColumnsError),
+    ],
+    ids=["generator", "block_of", "block", "monomial", "minor_expand"],
+)
+def test_an_index_that_is_not_an_int_is_out_of_range(call, error, bad):
+    with pytest.raises(error, match="outside"):
+        call(bad)
 
 
 def test_generator_triples_counts_and_minimum():
@@ -89,6 +126,32 @@ def test_generator_triples_counts_and_minimum():
     assert len(generator_triples(BlockStructure((2, 3, 2)))) == 35
     with pytest.raises(TooSmallError):
         generator_triples(BlockStructure((2,)))
+
+
+def test_generator_triples_reads_the_table_alone(monkeypatch):
+    a = BlockStructure((4, 4, 4))
+    expected = [generator(a, c) for c in combinations(range(1, 13), 3)]
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(matching, "generator", counted(matching.generator))
+    monkeypatch.setattr(BlockStructure, "block_of", counted(BlockStructure.block_of))
+    assert generator_triples(a) == expected
+    assert calls == []
+    a.block_of(5)  # the wrappers count
+    assert calls == ["block_of"]
+
+
+def test_block_structure_equality_reads_parts_alone():
+    a, b = BlockStructure((2, 3)), BlockStructure([2, 3])
+    assert a == b and hash(a) == hash(b) and repr(a) == "BlockStructure([2, 3])"
+    assert [f.name for f in dataclasses.fields(a)] == ["parts"]
 
 
 def test_triple_subset_and_monomial():
@@ -151,6 +214,54 @@ def test_weight_matrix_w0_shift():
 def test_weight_matrix_rejects_a_w0_that_is_not_a_positive_int(bad):
     with pytest.raises(ValueError, match="^w0 must be a positive integer"):
         weight_matrix(BlockStructure((3, 2)), bad)
+
+
+def _fill_loop_weight_matrix(a, w0):
+    """Reference: the weights and precedence as the block-by-block fill loop."""
+    n, r = a.n, a.r
+    alpha = a.alphas
+
+    yw = {}
+    for s in range(r, 0, -1):
+        first = alpha[s - 1] + 1
+        yw[first] = (w0 + 1) if s == r else yw[alpha[s + 1]] + 1
+        for j in range(first + 1, alpha[s] + 1):
+            yw[j] = yw[first] + (j - first)
+
+    zw = {}
+    if n >= 1:
+        zw[1] = w0
+    if n >= 2:
+        zw[2] = w0
+    top_y = yw[alpha[1]]
+    for i in range(3, n + 1):
+        zw[i] = top_y + (n - 2) * (i - 2)
+
+    weights = {}
+    for i in range(1, n + 1):
+        weights[xvar(i)] = w0
+        weights[yvar(i)] = yw[i]
+        weights[zvar(i)] = zw[i]
+
+    precedence = [zvar(i) for i in range(n, 2, -1)]
+    for s in range(1, r + 1):
+        precedence.extend(yvar(j) for j in range(alpha[s], alpha[s - 1], -1))
+    if n >= 2:
+        precedence.append(zvar(2))
+    precedence.append(zvar(1))
+    precedence.extend(xvar(i) for i in range(1, n + 1))
+    return weights, precedence
+
+
+def test_weight_matrix_matches_the_fill_loop():
+    for n in range(1, 13):
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            for w0 in (1, 2, 3):
+                order = weight_matrix(a, w0)
+                weights, precedence = _fill_loop_weight_matrix(a, w0)
+                assert order.weights == weights, (parts, w0)
+                assert list(order.precedence) == precedence, (parts, w0)
 
 
 def test_weight_matrix_y_row_is_a_permutation_of_a_range():
