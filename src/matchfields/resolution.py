@@ -6,15 +6,19 @@ given generator ordering, on exponent vectors packed into ints, and reads
 the Betti numbers off the colon-set sizes with a binomial-coefficient
 formula (Herzog-Takayama, Resolutions by mapping cones).  The oracle route
 computes multigraded Betti numbers directly as ranks of reduced simplicial
-homology of upper Koszul complexes, one lcm-lattice element at a time, and
-knows nothing about quotient orderings.  Their facets form an antichain
-(the generators are minimal), each distinct complex shape is computed once
-per call, and its boundary ranks come from exact integer elimination with
-clearing.
+homology of upper Koszul complexes, and knows nothing about quotient
+orderings.  A Mayer-Vietoris tree (Saenz-de-Cabezon, Multigraded Betti
+numbers without computing minimal free resolutions, 2009) chooses the
+multidegrees where a Betti number can be nonzero, and homology decides each
+one; the tree's node counts are never read as Betti numbers.  The facets of
+each complex form an antichain (the generators are minimal), each distinct
+complex shape is computed once per call, and its boundary ranks come from
+exact integer elimination with clearing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -189,11 +193,18 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     The generators are polarized first: x^e becomes the e lowest bits of a
     block of bits for x, one bit per unit of x's largest exponent, so every
     generator is a squarefree bitmask.  Polarization keeps the lcm lattice
-    and the Betti numbers (Herzog-Hibi, Monomial Ideals, 1.6).  For each
-    lattice element b the upper Koszul complex K^b has the variables of b as
+    and the Betti numbers (Herzog-Hibi, Monomial Ideals, 1.6).  For a
+    multidegree b the upper Koszul complex K^b has the variables of b as
     vertices and one facet b minus g for each generator g dividing b; its
     reduced homology H_{i-1} has rank beta_{i,b} (Miller-Sturmfels,
     Combinatorial Commutative Algebra, Thm 1.34).
+
+    Homology is taken only where the Mayer-Vietoris tree (_mayer_vietoris)
+    records a multidegree.  Splitting I = J + (m) gives the exact sequence
+    0 -> J cap (m) -> J (+) (m) -> I -> 0, and its long exact sequence of
+    Tor gives beta_{i,b}(I) <= beta_{i,b}(J) + beta_{i,b}((m))
+    + beta_{i-1,b}(J cap (m)), so every nonzero beta_{i,b} lies at a
+    recorded multidegree.  The tree chooses where to look; homology decides.
 
     Polarization keeps divisibility, so the minimal generators give masks of
     which none contains another, and the facets b minus g of each K^b form
@@ -225,7 +236,7 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
 
     homology: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     betti: dict[int, int] = {}
-    for b in _lcm_lattice(masks):
+    for b in {b for _, b in _mayer_vietoris(masks)}:
         shape = []
         outside = ~b
         for g in masks:
@@ -249,29 +260,47 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     return BettiTable(tuple(betti.get(i, 0) for i in range(top + 1)))
 
 
-# Largest lcm lattice the oracle enumerates; past it the oracle raises
+# Largest Mayer-Vietoris tree the oracle walks; past it the oracle raises
 # TooLargeError rather than run out of memory.
-_LCM_LATTICE_CAP = 200_000
+_MV_NODE_CAP = 200_000
 
 
-def _lcm_lattice(masks: list[int]) -> set[int]:
-    """All unions of nonempty subsets of the given bitmasks."""
-    seen = set(masks)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in masks:
-                l = b | g
-                if l not in seen:
-                    seen.add(l)
-                    new.append(l)
-            if len(seen) > _LCM_LATTICE_CAP:
-                raise TooLargeError(
-                    f"lcm lattice exceeds {_LCM_LATTICE_CAP} elements"
-                )
-        frontier = new
-    return seen
+def _mayer_vietoris(masks: list[int]) -> Counter[tuple[int, int]]:
+    """The (dimension, multidegree) records of the Mayer-Vietoris tree of the
+    squarefree ideal minimally generated by the given masks, with counts.
+
+    A node with generators g_1..g_k at dimension d pivots on m = g_k: its
+    left child is g_1..g_{k-1} at dimension d, and its right child is the
+    minimalized g_i | m (the generators of J cap (m)) at dimension d + 1.
+    Each pivot and each leaf (a node with one generator) records its
+    generator at its dimension.  By induction over the exact sequence of
+    the split, beta_{i,b} is at most the number of records (i, b).
+    """
+    records: Counter[tuple[int, int]] = Counter()
+    stack = [(masks, 0)]
+    nodes = 0
+    while stack:
+        gens, d = stack.pop()
+        nodes += 1
+        if nodes > _MV_NODE_CAP:
+            raise TooLargeError(f"Mayer-Vietoris tree exceeds {_MV_NODE_CAP} nodes")
+        m = gens[-1]
+        records[d, m] += 1
+        if len(gens) > 1:
+            rest = gens[:-1]
+            stack.append((rest, d))
+            stack.append((_minimal_masks(g | m for g in rest), d + 1))
+    return records
+
+
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks among the given ones, each once, smallest
+    first."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(s & ~m for s in kept):
+            kept.append(m)
+    return kept
 
 
 def _maximal_masks(masks: Iterable[int]) -> list[int]:

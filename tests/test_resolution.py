@@ -327,7 +327,9 @@ def reference_union_homology(masks):
     return out
 
 
-def reference_betti_oracle(ideal):
+def reference_multigraded_betti(ideal):
+    """{(i, b): beta_{i,b}} over the whole lcm lattice, zeros omitted, with b
+    an exponent tuple over the sorted variables of the generators."""
     gens = ideal.sorted_generators()
     k = len(gens)
     variables = sorted({v for g in gens for v in g.variables()})
@@ -367,7 +369,14 @@ def reference_betti_oracle(ideal):
                     mask |= 1 << pos
             masks.append(mask)
         for d, h in reference_union_homology(masks).items():
-            betti[d + 1] = betti.get(d + 1, 0) + h
+            betti[d + 1, b] = h
+    return betti
+
+
+def reference_betti_oracle(ideal):
+    betti = {}
+    for (i, _), h in reference_multigraded_betti(ideal).items():
+        betti[i] = betti.get(i, 0) + h
     top = max(betti)
     return [betti.get(i, 0) for i in range(top + 1)]
 
@@ -409,6 +418,47 @@ def test_oracle_equals_reference_on_matching_ideals():
     for parts in [(3, 2), (2, 2, 1), (1, 1, 1, 1), (4,)]:
         ideal = matching_ideal(BlockStructure(parts))
         assert list(betti_oracle(ideal)) == reference_betti_oracle(ideal), parts
+
+
+SQUAREFREE_VARIABLES = [f(i) for f in (xvar, yvar, zvar) for i in range(1, 4)][:8]
+
+
+def random_squarefree_ideal(rng):
+    """The ideal of 4-10 random squarefree monomials, each in 2-4 of 8
+    variables, minimalized."""
+    return MonomialIdeal.from_monomials(
+        Monomial(3, dict.fromkeys(rng.sample(SQUAREFREE_VARIABLES, rng.randint(2, 4)), 1))
+        for _ in range(rng.randint(4, 10))
+    )
+
+
+def squarefree_masks(ideal):
+    """The generators of a squarefree ideal in sorted order as bitmasks, the
+    variables taking bits in sorted order: the oracle's polarization."""
+    variables = sorted({v for g in ideal.generators for v in g.variables()})
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    return [sum(bit[v] for v in g.variables()) for g in ideal.sorted_generators()]
+
+
+def test_mayer_vietoris_records_bound_the_multigraded_betti_numbers():
+    """Every nonzero beta_{i,b} of the full-lattice reference is at a
+    multidegree the tree records, and the tree records (i, b) at least
+    beta_{i,b} times.  On many ideals it records more than the Betti
+    numbers, so its counts are a bound and homology has to decide."""
+    rng = random.Random(20261019)
+    loose = 0
+    for _ in range(300):
+        ideal = random_squarefree_ideal(rng)
+        assert list(betti_oracle(ideal)) == reference_betti_oracle(ideal), ideal
+        records = resolution._mayer_vietoris(squarefree_masks(ideal))
+        recorded = {b for _, b in records}
+        multigraded = reference_multigraded_betti(ideal)
+        for (i, b), h in multigraded.items():
+            mask = sum(1 << t for t, e in enumerate(b) if e)
+            assert mask in recorded, (ideal, i, b)
+            assert records[i, mask] >= h, (ideal, i, b)
+        loose += sum(records.values()) > sum(multigraded.values())
+    assert loose >= 50
 
 
 def random_fraction(rng):
@@ -511,34 +561,37 @@ def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
         assert calls == [(n, n - 1)] + kept, n
 
 
-def compressed_shapes(ideal):
-    """The distinct complexes K^b of a squarefree ideal, each as the size of
-    b and the dividing generators with b's bits renumbered 0, 1, ... in
-    order, the variables taking bits in sorted order; and the lattice."""
-    variables = sorted({v for g in ideal.generators for v in g.variables()})
-    bit = {v: 1 << i for i, v in enumerate(variables)}
-    masks = [sum(bit[v] for v in g.variables()) for g in ideal.generators]
+def lcm_lattice(masks):
+    """All unions of nonempty subsets of the given masks."""
     lattice = set(masks)
     frontier = list(lattice)
     while frontier:
         frontier = [b | g for b in frontier for g in masks if b | g not in lattice]
         lattice.update(frontier)
+    return lattice
+
+
+def compressed_shapes(masks, multidegrees):
+    """The distinct complexes K^b over the given multidegrees, each as the
+    size of b and the dividing generators with b's bits renumbered 0, 1, ...
+    in order."""
     shapes = set()
-    for b in lattice:
-        positions = [p for p in range(len(variables)) if b >> p & 1]
+    for b in multidegrees:
+        positions = [p for p in range(b.bit_length()) if b >> p & 1]
         renamed = sorted(
             sum(1 << j for j, p in enumerate(positions) if g >> p & 1)
             for g in masks
             if g & b == g
         )
         shapes.add((len(positions), tuple(renamed)))
-    return shapes, lattice
+    return shapes
 
 
 def test_oracle_computes_each_compressed_shape_once_per_call(monkeypatch):
     ideal = matching_ideal(BlockStructure((2, 2, 2)))
-    shapes, lattice = compressed_shapes(ideal)
-    assert len(shapes) < len(lattice)
+    masks = squarefree_masks(ideal)
+    shapes = compressed_shapes(masks, {b for _, b in resolution._mayer_vietoris(masks)})
+    assert len(shapes) < len(compressed_shapes(masks, lcm_lattice(masks)))
     calls = []
     union_homology = resolution._union_homology
 
@@ -565,11 +618,14 @@ def test_oracle_invariant_under_variable_relabeling():
         assert got == list(betti_oracle(ideal)), (ideal, perm)
 
 
-def test_lcm_lattice_cap_raises(monkeypatch):
+def test_mayer_vietoris_node_cap_raises(monkeypatch):
+    # The tree of (5,) has 31 nodes, one per unit of its total Betti number.
     ideal = matching_ideal(BlockStructure((5,)))
-    monkeypatch.setattr(resolution, "_LCM_LATTICE_CAP", 50)
-    with pytest.raises(TooLargeError, match="lcm lattice"):
+    monkeypatch.setattr(resolution, "_MV_NODE_CAP", 30)
+    with pytest.raises(TooLargeError, match="Mayer-Vietoris tree exceeds 30 nodes"):
         betti_oracle(ideal)
+    monkeypatch.setattr(resolution, "_MV_NODE_CAP", 31)
+    assert list(betti_oracle(ideal)) == [10, 15, 6]
 
 
 def certificate_table(parts):
@@ -586,7 +642,6 @@ def test_oracle_matches_certificate_at_n7(parts):
     assert list(got) == certificate_table(parts)
 
 
-@pytest.mark.slow
 def test_oracle_matches_certificate_all_structures_at_n7():
     for parts in all_compositions(7):
         got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=35)
@@ -594,18 +649,25 @@ def test_oracle_matches_certificate_all_structures_at_n7():
 
 
 @pytest.mark.slow
-def test_oracle_at_n8_matches_closed_form():
-    got = betti_oracle(matching_ideal(BlockStructure((4, 4))), max_generators=56)
-    assert list(got) == list(betti_diagonal_table(8)) == certificate_table((4, 4))
+def test_oracle_all_structures_at_n8_match_certificate_and_closed_form():
+    for parts in all_compositions(8):
+        got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=56)
+        assert list(got) == certificate_table(parts) == list(betti_diagonal_table(8)), parts
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("parts", [(9,), (3, 3, 3)])
-def test_oracle_at_n9_matches_certificate_and_closed_form(parts, monkeypatch):
-    # (9,) has 304 723 lattice elements, past the default cap.
-    monkeypatch.setattr(resolution, "_LCM_LATTICE_CAP", 400_000)
+def test_oracle_at_n9_matches_certificate_and_closed_form(parts):
     got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=84)
     assert list(got) == certificate_table(parts) == list(betti_diagonal_table(9))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [10, 12])
+def test_oracle_at_a_seeded_composition_matches_certificate_and_closed_form(n):
+    parts = random.Random(n).choice(list(all_compositions(n)))
+    got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=comb(n, 3))
+    assert list(got) == certificate_table(parts) == list(betti_diagonal_table(n)), parts
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +786,26 @@ def _names_in(fn):
 def test_certificate_and_oracle_share_no_code():
     oracle = [
         resolution.betti_oracle,
-        resolution._lcm_lattice,
+        resolution._mayer_vietoris,
+        resolution._minimal_masks,
         resolution._maximal_masks,
         resolution._union_homology,
     ]
+    certificate = {
+        "_packed",
+        "Layout",
+        "pack_minimal",
+        "monus",
+        "colon_by_monomial",
+        "linear_quotients_certificate",
+        "betti_from_certificate",
+        "betti_from_variable_sets",
+        "sort_generators",
+    }
     for fn in oracle:
-        assert not _names_in(fn) & {"_packed", "Layout", "pack_minimal", "monus"}
+        assert not _names_in(fn) & certificate, fn.__name__
     helpers = {fn.__name__ for fn in oracle} | {"rational_rank"}
     assert not _names_in(resolution.linear_quotients_certificate) & helpers
     assert "pack_minimal" in _names_in(resolution.linear_quotients_certificate)
+    # The tree pivots along the ideal's own sorted order, not the block order.
+    assert "sorted_generators" in _names_in(resolution.betti_oracle)
