@@ -6,10 +6,12 @@ layers; relabeling the vertices by first appearance turns the hypergraph into
 a graph on integers 1..N whose min-vertex layers are recursively nested.
 That recursive nesting is the co-interval property checked here.
 
-The layer checks and the relabeling read one table {z: {y: [x, ...]}},
-filled in one pass over the block ordering, whose keys and x-lists keep
-their order of first appearance; hypergraph_H, z_layer and zy_layer build
-the same layers as DGraphs.
+The layer checks, the relabeling and the relabeled graph read one table
+{z: {y: [x, ...]}}, filled in one pass over the block ordering, whose keys
+and x-lists keep their order of first appearance; one call of the CLI builds
+that table once and shares it among the three.  hypergraph_H, z_layer and
+zy_layer build the same layers as DGraphs.  is_cointerval validates its
+DGraph once and then recurses on plain sets of sorted edge tuples.
 """
 
 from __future__ import annotations
@@ -32,26 +34,41 @@ class DGraph:
     edges: frozenset
 
     def __post_init__(self):
+        if type(self.d) is not int:
+            raise ValueError(f"arity d must be an int, got {self.d!r}")
         if self.d < 1:
             raise ValueError("arity d must be at least 1")
+        if type(self.vertices) is not frozenset or type(self.edges) is not frozenset:
+            raise ValueError("vertices and edges must be frozensets")
+        _ordered(self.vertices)
         for e in self.edges:
+            if type(e) is not tuple:
+                raise ValueError(f"edge {e!r} is not a tuple")
             if len(e) != self.d or len(set(e)) != self.d:
                 raise ValueError(f"edge {e} is not a {self.d}-set")
-            if tuple(sorted(e)) != e:
-                raise ValueError(f"edge {e} is not sorted")
             if not set(e) <= self.vertices:
                 raise ValueError(f"edge {e} uses unknown vertices")
+            if tuple(sorted(e)) != e:
+                raise ValueError(f"edge {e} is not sorted")
 
     @classmethod
     def from_edges(
         cls, d: int, edges: Iterable[Iterable[Hashable]], extra_vertices: Iterable = ()
     ) -> "DGraph":
-        es = frozenset(tuple(sorted(e)) for e in edges)
+        es = frozenset(tuple(_ordered(e)) for e in edges)
         vs = frozenset(v for e in es for v in e) | frozenset(extra_vertices)
         return cls(d, vs, es)
 
     def sorted_edges(self) -> list[tuple]:
         return sorted(self.edges)
+
+
+def _ordered(vertices: Iterable) -> list:
+    """The vertices sorted; ValueError if they cannot be ordered."""
+    try:
+        return sorted(vertices)
+    except TypeError as exc:
+        raise ValueError(f"vertices cannot be ordered: {exc}") from None
 
 
 def hypergraph_H(a: BlockStructure) -> DGraph:
@@ -109,7 +126,10 @@ def check_layer_containment(a: BlockStructure) -> LayerReport:
     the lower z-layers is reported in lower_layers_nested without affecting
     ok.
     """
-    table = _layers(a)
+    return _layer_report(_layers(a))
+
+
+def _layer_report(table: dict[int, dict[int, list[int]]]) -> LayerReport:
     witnesses: list[str] = []
 
     zvals = sorted(table)
@@ -166,7 +186,10 @@ class RelabelMap:
 
 def relabel_f(a: BlockStructure) -> RelabelMap:
     """Build the relabeling; every vertex of the hypergraph must be covered."""
-    table = _layers(a)
+    return _relabeling(_layers(a))
+
+
+def _relabeling(table: dict[int, dict[int, list[int]]]) -> RelabelMap:
     zvals = sorted(table, reverse=True)
     top = table[zvals[0]]
     yseq = list(top)
@@ -175,13 +198,15 @@ def relabel_f(a: BlockStructure) -> RelabelMap:
     labels = [zvar(v) for v in zvals] + [yvar(u) for u in yseq] + [xvar(x) for x in xseq]
     assignment = {v: i + 1 for i, v in enumerate(labels)}
 
+    # Every z is labeled; a y or an x is missed once per generator it is in.
+    yset, xset = set(yseq), set(xseq)
     missing = sorted(
-        str(v)
-        for z, ys in table.items()
+        f"{family}{i}"
+        for ys in table.values()
         for y, xs in ys.items()
         for x in xs
-        for v in (xvar(x), yvar(y), zvar(z))
-        if v not in assignment
+        for family, i, labeled in (("x", x, xset), ("y", y, yset))
+        if i not in labeled
     )
     if missing:
         raise ValueError(f"relabeling does not cover: {', '.join(missing)}")
@@ -191,12 +216,36 @@ def relabel_f(a: BlockStructure) -> RelabelMap:
 
 def graph_G(a: BlockStructure) -> DGraph:
     """The relabeled 3-graph on the integer vertices 1..m+k+l."""
-    f = relabel_f(a).as_dict()
-    edges = [
-        (f[zvar(t.z)], f[yvar(t.y)], f[xvar(t.x)])
-        for t in generator_triples(a)
-    ]
-    return DGraph.from_edges(3, edges)
+    table = _layers(a)
+    return _relabeled_graph(table, _relabeling(table))
+
+
+def _relabeled_graph(table: dict[int, dict[int, list[int]]], f: RelabelMap) -> DGraph:
+    """One edge (z, y, x) per generator, in labels.  z-labels come before
+    y-labels and y-labels before x-labels, so each edge is already sorted.
+
+    The edges enter their set in the order of the generators' column subsets
+    (z is the largest column), the order of generator_triples, so the set
+    iterates and prints alike whatever the block ordering.
+    """
+    zl, yl, xl = ({v.index: i for v, i in f.assignment if v.family == c} for c in "zyx")
+    by_subset = sorted(
+        ((min(x, y), max(x, y), z), (zl[z], yl[y], xl[x]))
+        for z, ys in table.items()
+        for y, xs in ys.items()
+        for x in xs
+    )
+    edges = frozenset(e for _, e in by_subset)
+    return DGraph(3, frozenset(v for e in edges for v in e), edges)
+
+
+def _cointerval_inputs(a: BlockStructure) -> tuple[LayerReport, RelabelMap, DGraph]:
+    """check_layer_containment, relabel_f and graph_G of a, all read from one
+    layer table."""
+    table = _layers(a)
+    report = _layer_report(table)
+    f = _relabeling(table)
+    return report, f, _relabeled_graph(table, f)
 
 
 def v_layer(h: DGraph, v) -> DGraph:
@@ -218,20 +267,38 @@ def is_cointerval(h: DGraph) -> tuple[bool, Optional[tuple]]:
     co-interval and, for occurring vertices i < j, the j-layer must be an
     edge-subgraph of the i-layer.  A vertex lying in no edge has no bearing
     on the property.  Returns (ok, witness); the witness is a pair of
-    vertices whose layers break the containment, or None.
+    vertices whose layers break the containment, or None.  The pairs (i, j)
+    are tried in lexicographic order, then the layers' own pairs in vertex
+    order, and the first failing pair is the witness.
     """
     if h.d == 1:
         return True, None
-    vs = sorted({v for e in h.edges for v in e})
-    layers = {v: v_layer(h, v) for v in vs}
-    for i, j in combinations(vs, 2):
-        if not layers[j].edges <= layers[i].edges:
-            return False, (i, j)
-    for v in vs:
-        ok, witness = is_cointerval(layers[v])
-        if not ok:
-            return False, witness
-    return True, None
+    witness = _unnested_pair(h.edges, h.d)
+    return witness is None, witness
+
+
+def _unnested_pair(edges: Iterable[tuple], d: int) -> Optional[tuple]:
+    """is_cointerval's witness, or None, on sorted d-tuples with d >= 2.
+
+    The layer of v is the set of edges starting at v, with v removed.
+    """
+    layers: dict = {}
+    for e in edges:
+        layers.setdefault(e[0], set()).add(e[1:])
+    vs = sorted({v for e in edges for v in e})
+    chain = [layers.get(v, frozenset()) for v in vs]
+    # Nesting along consecutive vertices gives it for every pair; only a
+    # break needs the search for the first failing pair.
+    if not all(later <= earlier for earlier, later in zip(chain, chain[1:])):
+        for (i, earlier), (j, later) in combinations(zip(vs, chain), 2):
+            if not later <= earlier:
+                return i, j
+    if d > 2:
+        for v in sorted(layers):
+            witness = _unnested_pair(layers[v], d - 1)
+            if witness is not None:
+                return witness
+    return None
 
 
 def relabeled_ideal(a: BlockStructure) -> MonomialIdeal:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .algebra import VariableId
-from .cellular import check_layer_containment, graph_G, is_cointerval, relabel_f
+from .cellular import _cointerval_inputs, is_cointerval
 from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, sort_generators, weight_matrix
@@ -207,9 +207,7 @@ def _cmd_betti(args) -> _Output:
 
 def _cmd_cointerval(args) -> _Output:
     a = _structure(args)
-    layers = check_layer_containment(a)
-    f = relabel_f(a)
-    g = graph_G(a)
+    layers, f, g = _cointerval_inputs(a)
     ok, witness = is_cointerval(g)
     edges = g.sorted_edges()
     result = {

@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,26 @@ def test_dgraph_validation():
         DGraph(2, frozenset({1, 2}), frozenset({(2, 1)}))
     with pytest.raises(ValueError):
         DGraph(2, frozenset({1, 2}), frozenset({(1, 1)}))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DGraph(True, frozenset({1}), frozenset({(1,)})), "arity"),
+        (lambda: DGraph(2.5, frozenset({1, 2}), frozenset({(1, 2)})), "arity"),
+        (lambda: DGraph.from_edges(2, [(xvar(1), 1)]), "cannot be ordered"),
+        (lambda: DGraph(1, frozenset({xvar(1), 1}), frozenset()), "cannot be ordered"),
+        (lambda: DGraph(2, {1, 2}, frozenset({(1, 2)})), "frozensets"),
+        (lambda: DGraph(2, frozenset({1, 2}), {(1, 2)}), "frozensets"),
+        (lambda: DGraph(2, frozenset({1, 2}), frozenset({frozenset({1, 2})})), "tuple"),
+        (lambda: DGraph(2, frozenset({1, 2}), frozenset({(1, "a")})), "unknown"),
+    ],
+    ids=["bool", "float", "mixed-edge", "mixed-vertices", "set-vertices",
+         "set-edges", "frozenset-edge", "foreign-vertex"],
+)
+def test_dgraph_refuses_malformed_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_hypergraph_edge_count_and_shape():
@@ -136,6 +157,61 @@ def test_cointerval_simple_positives():
 def test_cointerval_ignores_isolated_vertices():
     g = DGraph.from_edges(2, [(2, 3)], extra_vertices={1})
     assert is_cointerval(g)[0]
+
+
+def _reference_is_cointerval(h):
+    """The co-interval recursion written over DGraph layers: one v_layer
+    per occurring vertex at every depth, pairs tried in lexicographic order
+    before the layers are entered in vertex order."""
+    if h.d == 1:
+        return True, None
+    vs = sorted({v for e in h.edges for v in e})
+    layers = {v: v_layer(h, v) for v in vs}
+    for i, j in combinations(vs, 2):
+        if not layers[j].edges <= layers[i].edges:
+            return False, (i, j)
+    for v in vs:
+        ok, witness = _reference_is_cointerval(layers[v])
+        if not ok:
+            return False, witness
+    return True, None
+
+
+def _random_hypergraphs(count, seed):
+    """Seeded d-graphs with 1 <= d <= 4 on at most 7 vertices: half keep each
+    d-set with one random probability, half are complete d-graphs less one
+    to three edges; some get isolated vertices."""
+    rng = random.Random(seed)
+    for index in range(count):
+        d = rng.randint(1, 4)
+        pool = list(combinations(range(1, rng.randint(d, 7) + 1), d))
+        if index % 2:
+            keep = rng.random()
+            edges = [e for e in pool if rng.random() < keep]
+        else:
+            dropped = set(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+            edges = [e for e in pool if e not in dropped]
+        isolated = rng.sample(range(8, 11), rng.randint(0, 2))
+        yield DGraph.from_edges(d, edges, extra_vertices=isolated)
+
+
+def test_cointerval_matches_the_dgraph_layer_recursion():
+    for n in range(3, 9):
+        for parts in all_compositions(n):
+            g = graph_G(BlockStructure(parts))
+            assert is_cointerval(g) == _reference_is_cointerval(g) == (True, None), parts
+    verdicts = Counter()
+    for h in _random_hypergraphs(500, seed=19):
+        ok, witness = is_cointerval(h)
+        assert (ok, witness) == _reference_is_cointerval(h), sorted(h.edges)
+        if ok:
+            verdicts["co-interval"] += 1
+            continue
+        # A pair whose top layers nest can only come from inside a layer.
+        i, j = witness
+        top = {v: {e[1:] for e in h.edges if e[0] == v} for v in (i, j)}
+        verdicts["inside a layer" if top[j] <= top[i] else "at the top"] += 1
+    assert min(verdicts.values()) >= 20 and len(verdicts) == 3, verdicts
 
 
 def test_relabeled_ideal_shape():

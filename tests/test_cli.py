@@ -7,23 +7,32 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import matchfields.cellular as cellular
+import matchfields.matching as matching
 from matchfields import (
     BlockStructure,
     __version__,
     betti_diagonal_table,
+    check_layer_containment,
     flatness_check,
     format_plucker_exponents,
+    graph_G,
     hilbert_dim_rect,
+    is_cointerval,
     kernel_slice,
     plucker_map_from_matching_field,
+    relabel_f,
     toric,
 )
 from matchfields.cli import MAX_PRINTED_BINOMIALS, main
+
+from helpers import all_compositions
 
 
 def run(capsys, *argv):
@@ -148,6 +157,62 @@ def test_cointerval_json_golden(capsys):
     assert r["relabeling"]["z5"] == 1
     assert r["relabeling"]["x4"] == 9
     assert r["witness"] is None
+
+
+def test_cointerval_call_reads_one_layer_table(capsys, monkeypatch):
+    """One call sorts the generators once, lists them once and builds one
+    DGraph, the relabeled graph, with no vertex layer as a DGraph."""
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(cellular, "sort_generators")
+    count(cellular, "v_layer")
+    for module in (matching, cellular):
+        count(module, "generator_triples")
+    validate = cellular.DGraph.__post_init__
+
+    def counted_validate(self):
+        calls["DGraph"] += 1
+        validate(self)
+
+    monkeypatch.setattr(cellular.DGraph, "__post_init__", counted_validate)
+    code, _, _ = run(capsys, "cointerval", "--blocks", "2,4")
+    assert code == 0
+    assert calls == {"sort_generators": 1, "generator_triples": 1, "DGraph": 1}
+
+
+def test_cointerval_result_matches_the_library(capsys):
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            layers, f, g = check_layer_containment(a), relabel_f(a), graph_G(a)
+            ok, witness = is_cointerval(g)
+            edges = sorted(g.edges)
+            expected = {
+                "layer_nesting_ok": layers.ok,
+                "layer_witnesses": list(layers.witnesses),
+                "lower_layers_nested": layers.lower_layers_nested,
+                "m": f.m,
+                "k": f.k,
+                "l": f.l,
+                "relabeling": {str(v): i for v, i in f.assignment},
+                "edges": [list(e) for e in edges],
+                "edge_labels": [("" if e[-1] <= 9 else "-").join(map(str, e)) for e in edges],
+                "cointerval": ok,
+                "witness": list(witness) if witness else None,
+            }
+            blocks = ",".join(map(str, parts))
+            code, out, _ = run(capsys, "cointerval", "--blocks", blocks, "--format", "json")
+            assert code == (0 if ok and layers.ok else 1), parts
+            assert json.loads(out)["result"] == expected, parts
 
 
 def test_kernel_json(capsys):
