@@ -11,15 +11,21 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a mathematical check comes back false,
 2 on invalid input or an exceeded computation budget.
+
+JSON output is written in one pass by _dumps, byte for byte what
+json.dumps(doc, indent=2, sort_keys=True) writes: keys sorted, two spaces
+of indent per level, strings escaped to ASCII by the json module's own C
+escaper, and one trailing newline from print.  Its domain is what the
+handlers build: dicts with str keys, lists, str, int, bool and None; any
+other type raises TypeError, as json.dumps does.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Optional, Sequence
 
@@ -31,8 +37,10 @@ from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, sort_generators, weight_matrix
 from .resolution import betti_from_certificate, linear_quotients_certificate
 from .toric import (
+    _check_slice_budget,
+    _format_exponents,
     _kernel_and_flatness,
-    format_plucker_exponents,
+    _plucker_names,
     plucker_map_from_matching_field,
     plucker_quadric_gr24,
 )
@@ -47,6 +55,19 @@ MAX_PRINTED_BINOMIALS = 200
 # betti refuses more generators than the matching ideal has at n = 20: the
 # linear-quotients certificate's work grows as the square of their number.
 MAX_BETTI_GENERATORS = comb(20, 3)
+
+# generators and cointerval refuse more generators than the matching ideal
+# has at n = 60: the output and the layer table grow as n^3.
+MAX_GENERATORS = comb(60, 3)
+
+
+def _limit_generators(n: int, command: str, name: str, limit: int) -> None:
+    """Refuse with TooLargeError, before any triple is built, when the
+    matching ideal on n columns has more than limit generators."""
+    if comb(n, 3) > limit:
+        raise TooLargeError(
+            f"{comb(n, 3)} generators exceeds the {command} limit {name}={limit}"
+        )
 
 
 class _Output:
@@ -88,14 +109,10 @@ def _input_dict(a: Optional[BlockStructure], n: Optional[int], w0: Optional[int]
 def _cmd_generators(args) -> _Output:
     a = _structure(args)
     n = a.n
-    triples = sort_generators(a)
+    _limit_generators(n, "generators", "MAX_GENERATORS", MAX_GENERATORS)
     gens = [
-        {
-            "columns": list(t.subset()),
-            "triple": [t.x, t.y, t.z],
-            "monomial": repr(t.monomial(n)),
-        }
-        for t in triples
+        {"columns": list(t.subset()), "triple": [t.x, t.y, t.z], "monomial": str(t)}
+        for t in sort_generators(a)
     ]
     text = [f"{len(gens)} generators for blocks {list(a.parts)} (n = {n}), in block order:"]
     rows = [["columns", "x", "y", "z", "monomial"]]
@@ -170,11 +187,7 @@ def _cmd_verify(args) -> _Output:
 def _cmd_betti(args) -> _Output:
     a = _structure(args)
     n = a.n
-    if comb(n, 3) > MAX_BETTI_GENERATORS:
-        raise TooLargeError(
-            f"{comb(n, 3)} generators exceeds the betti limit "
-            f"MAX_BETTI_GENERATORS={MAX_BETTI_GENERATORS}"
-        )
+    _limit_generators(n, "betti", "MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS)
     ordered = [t.monomial(n) for t in sort_generators(a)]
     cert = linear_quotients_certificate(ordered)
     result = {
@@ -207,6 +220,7 @@ def _cmd_betti(args) -> _Output:
 
 def _cmd_cointerval(args) -> _Output:
     a = _structure(args)
+    _limit_generators(a.n, "cointerval", "MAX_GENERATORS", MAX_GENERATORS)
     layers, f, g = _cointerval_inputs(a)
     ok, witness = is_cointerval(g)
     edges = g.sorted_edges()
@@ -248,7 +262,11 @@ def _cmd_kernel(args) -> _Output:
     _at_least(args.dmax, 1, "--dmax")
     _at_least(args.budget, 0, "--budget")
     a = _structure(args)
+    plucker_count = comb(a.n, 3)
+    for d in range(1, args.dmax + 1):
+        _check_slice_budget(plucker_count, d, args.budget)
     pmap = plucker_map_from_matching_field(a)
+    names = _plucker_names(pmap)
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
     kernel, flat = _kernel_and_flatness(
@@ -262,7 +280,7 @@ def _cmd_kernel(args) -> _Output:
         }
         if ks.binomials is not None:
             entry["binomials"] = [
-                f"{format_plucker_exponents(pmap, p)} - {format_plucker_exponents(pmap, q)}"
+                f"{_format_exponents(names, p)} - {_format_exponents(names, q)}"
                 for p, q in ks.binomials
             ]
         slices.append(entry)
@@ -319,6 +337,60 @@ _HANDLERS = {
     "kernel": _cmd_kernel,
     "supports": _cmd_supports,
 }
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), for the CLI's documents."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    return "".join(out)
+
+
+def _write(x, out: list[str], newline: str) -> None:
+    """Append the JSON text of x to out; newline is "\n" plus the indent of
+    the line x starts on."""
+    t = type(x)
+    if t is str:
+        out.append(encode_basestring_ascii(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(x[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is int for v in x):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif x is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 @functools.cache
@@ -401,8 +473,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "result": out.result,
             "version": __version__,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_dumps(doc))
     elif args.format == "csv":
+        import csv  # only csv output needs it; the JSON path stays lean
+
         writer = csv.writer(sys.stdout)
         writer.writerows(out.rows or [])
     else:

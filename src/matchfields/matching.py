@@ -87,6 +87,11 @@ class GeneratorTriple(NamedTuple):
     def monomial(self, n: int) -> Monomial:
         return Monomial.of(n, xvar(self.x), yvar(self.y), zvar(self.z))
 
+    def __str__(self) -> str:
+        """repr(self.monomial(n)) for any n >= max(self): the families sort
+        x < y < z, so the monomial prints as x_x * y_y * z_z."""
+        return f"x{self.x}*y{self.y}*z{self.z}"
+
 
 def generator(a: BlockStructure, subset: Iterable[int]) -> GeneratorTriple:
     """Generator triple assigned to a 3-subset of columns.
@@ -190,7 +195,7 @@ def _require_generator(a: BlockStructure, t: GeneratorTriple) -> None:
     except InvalidSubsetError as exc:
         raise NotAGeneratorError(str(exc)) from exc
     if expected != t:
-        raise NotAGeneratorError(f"{t} is not a generator of this matching field")
+        raise NotAGeneratorError(f"{t!r} is not a generator of this matching field")
 
 
 def _block_sort_key(a: BlockStructure, t: GeneratorTriple) -> tuple[int, int, int, int]:

@@ -120,11 +120,7 @@ def _fibres(pmap: PluckerMap, d: int, budget: int) -> dict[int, list[Combo]]:
     of their exponent tuples, so the last member of a fibre is its least.
     """
     s = len(pmap.source)
-    total = comb(s + d - 1, d)
-    if total > budget:
-        raise TooLargeError(
-            f"degree {d} slice has {total} monomials, over the budget of {budget}"
-        )
+    _check_slice_budget(s, d, budget)
     codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
     fibres: dict[int, list[Combo]] = {}
     for combo, code in zip(combinations_with_replacement(range(s), d), codes):
@@ -134,6 +130,16 @@ def _fibres(pmap: PluckerMap, d: int, budget: int) -> dict[int, list[Combo]]:
         else:
             fibre.append(combo)
     return fibres
+
+
+def _check_slice_budget(s: int, d: int, budget: int) -> None:
+    """Refuse a degree-d slice over s Pluecker variables with more than
+    budget monomials; the count comb(s + d - 1, d) needs no map."""
+    total = comb(s + d - 1, d)
+    if total > budget:
+        raise TooLargeError(
+            f"degree {d} slice has {total} monomials, over the budget of {budget}"
+        )
 
 
 def _exponents(combo: Combo, s: int) -> Exponents:
@@ -313,14 +319,19 @@ def plucker_variable_name(subset: Subset) -> str:
     return "p" + "-".join(str(c) for c in subset)
 
 
-def format_plucker_exponents(pmap: PluckerMap, exponents: Exponents) -> str:
-    parts = []
-    for sub, e in zip(pmap.source, exponents):
-        if e == 1:
-            parts.append(plucker_variable_name(sub))
-        elif e > 1:
-            parts.append(f"{plucker_variable_name(sub)}^{e}")
+def _plucker_names(pmap: PluckerMap) -> list[str]:
+    """The name of each Pluecker variable of the map, in source order."""
+    return [plucker_variable_name(sub) for sub in pmap.source]
+
+
+def _format_exponents(names: list[str], exponents: Exponents) -> str:
+    """The monomial with these exponents over names, from its positive entries."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e > 0]
     return "*".join(parts) if parts else "1"
+
+
+def format_plucker_exponents(pmap: PluckerMap, exponents: Exponents) -> str:
+    return _format_exponents(_plucker_names(pmap), exponents)
 
 
 def plucker_quadric_gr24() -> Polynomial:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import matchfields.cellular as cellular
+import matchfields.cli as cli
 import matchfields.matching as matching
 from matchfields import (
     BlockStructure,
@@ -141,6 +142,46 @@ def test_betti_size_guard_is_on_by_default(capsys):
         code, out, err = run(capsys, "betti", "--n", str(n))
         assert code == 2 and out == ""
         assert f"{generators} generators" in err and "MAX_BETTI_GENERATORS=1140" in err
+
+
+@pytest.mark.parametrize("command", ["generators", "cointerval"])
+def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
+    """At MAX_GENERATORS the command runs; one generator more, it exits 2
+    before any triple is built."""
+    assert cli.MAX_GENERATORS == comb(60, 3)
+
+    class Reached(Exception):
+        pass
+
+    def refuse(a):
+        raise Reached
+
+    build = "sort_generators" if command == "generators" else "_cointerval_inputs"
+    monkeypatch.setattr(cli, build, refuse)
+    with pytest.raises(Reached):
+        main([command, "--n", "60"])
+    code, out, err = run(capsys, command, "--n", "61")
+    assert code == 2 and out == ""
+    assert err == f"error: 35990 generators exceeds the {command} limit MAX_GENERATORS=34220\n"
+    monkeypatch.undo()
+    for limit, want in [(comb(7, 3), 0), (comb(7, 3) - 1, 2)]:
+        monkeypatch.setattr(cli, "MAX_GENERATORS", limit)
+        code, out, err = run(capsys, command, "--n", "7")
+        assert code == want, limit
+        assert (out == "") == (want == 2)
+
+
+def test_kernel_refuses_an_over_budget_degree_before_building_the_map(capsys, monkeypatch):
+    def refuse(a):
+        raise AssertionError("the Pluecker map was built")
+
+    monkeypatch.setattr(cli, "plucker_map_from_matching_field", refuse)
+    code, out, err = run(capsys, "kernel", "--n", "150", "--dmax", "1")
+    assert code == 2 and out == ""
+    assert err == "error: degree 1 slice has 551300 monomials, over the budget of 500000\n"
+    code, out, err = run(capsys, "kernel", "--n", "12", "--dmax", "3", "--budget", "300")
+    assert code == 2 and out == ""
+    assert err == "error: degree 2 slice has 24310 monomials, over the budget of 300\n"
 
 
 def test_cointerval_json_golden(capsys):

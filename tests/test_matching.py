@@ -160,6 +160,14 @@ def test_triple_subset_and_monomial():
     assert t.monomial(5) == Monomial.of(5, xvar(4), yvar(1), zvar(5))
 
 
+def test_triple_prints_as_its_monomial():
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            for t in generator_triples(BlockStructure(parts)):
+                assert str(t) == repr(t.monomial(n)), t
+    assert str(GeneratorTriple(10, 2, 11)) == "x10*y2*z11"
+
+
 def test_matching_ideal_squarefree_distinct():
     for parts in [(4,), (2, 2), (1, 3), (3, 2, 1)]:
         a = BlockStructure(parts)

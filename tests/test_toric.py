@@ -236,6 +236,14 @@ def test_plucker_variable_names():
     assert plucker_variable_name((2, 10, 11)) == "p2-10-11"
 
 
+def test_plucker_exponents_name_each_positive_entry():
+    pm = diagonal_plucker_map(2, 4)  # p12, p13, p14, p23, p24, p34
+    assert format_plucker_exponents(pm, (2, 0, 1, 0, 0, 3)) == "p12^2*p14*p34^3"
+    assert format_plucker_exponents(pm, (0, 1, 0, 0, 0, 0)) == "p13"
+    assert format_plucker_exponents(pm, (0,) * 6) == "1"
+    assert format_plucker_exponents(pm, (0, -1, 0, 0, 0, 0)) == "1"
+
+
 def test_quadric_polynomial():
     f = plucker_quadric_gr24()
     assert f.num_terms == 3
