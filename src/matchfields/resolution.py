@@ -6,14 +6,14 @@ given generator ordering, on exponent vectors packed into ints, and reads
 the Betti numbers off the colon-set sizes with a binomial-coefficient
 formula (Herzog-Takayama, Resolutions by mapping cones).  The oracle route
 computes multigraded Betti numbers directly as ranks of reduced simplicial
-homology of upper Koszul complexes, and knows nothing about quotient
-orderings.  A Mayer-Vietoris tree (Saenz-de-Cabezon, Multigraded Betti
-numbers without computing minimal free resolutions, 2009) chooses the
-multidegrees where a Betti number can be nonzero, and homology decides each
-one; the tree's node counts are never read as Betti numbers.  The facets of
-each complex form an antichain (the generators are minimal), each distinct
-complex shape is computed once per call, and its boundary ranks come from
-exact integer elimination with clearing.
+homology of upper Koszul complexes.  A Mayer-Vietoris tree (Saenz-de-Cabezon,
+Multigraded Betti numbers without computing minimal free resolutions, 2009)
+chooses the multidegrees where a Betti number can be nonzero, and homology
+decides each one.  The tree pivots along a linear-quotient order that the
+oracle finds from its own bitmasks, where the tree is minimal; its bound
+holds along any order, and its counts are never read as Betti numbers.
+Each complex is shrunk by strong collapses, and each distinct core is ranked
+once per call by exact integer elimination with clearing.
 """
 
 from __future__ import annotations
@@ -190,31 +190,20 @@ def diagonal_lex_sets(n: int) -> list[tuple[GeneratorTriple, frozenset[VariableI
 def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     """Betti numbers by reduced homology of upper Koszul complexes.
 
-    The generators are polarized first: x^e becomes the e lowest bits of a
-    block of bits for x, one bit per unit of x's largest exponent, so every
-    generator is a squarefree bitmask.  Polarization keeps the lcm lattice
-    and the Betti numbers (Herzog-Hibi, Monomial Ideals, 1.6).  For a
-    multidegree b the upper Koszul complex K^b has the variables of b as
-    vertices and one facet b minus g for each generator g dividing b; its
-    reduced homology H_{i-1} has rank beta_{i,b} (Miller-Sturmfels,
+    The generators are polarized into squarefree bitmasks: x^e becomes the
+    e lowest bits of a block of bits for x, one per unit of x's largest
+    exponent, which keeps the lcm lattice and the Betti numbers (Herzog-Hibi,
+    Monomial Ideals, 1.6).  For a multidegree b the upper Koszul complex K^b
+    has the variables of b as vertices and one facet b minus g for each
+    generator g dividing b (an antichain, as the generators are minimal);
+    its reduced homology H_{i-1} has rank beta_{i,b} (Miller-Sturmfels,
     Combinatorial Commutative Algebra, Thm 1.34).
 
-    Homology is taken only where the Mayer-Vietoris tree (_mayer_vietoris)
-    records a multidegree.  Splitting I = J + (m) gives the exact sequence
-    0 -> J cap (m) -> J (+) (m) -> I -> 0, and its long exact sequence of
-    Tor gives beta_{i,b}(I) <= beta_{i,b}(J) + beta_{i,b}((m))
-    + beta_{i-1,b}(J cap (m)), so every nonzero beta_{i,b} lies at a
-    recorded multidegree.  The tree chooses where to look; homology decides.
-
-    Polarization keeps divisibility, so the minimal generators give masks of
-    which none contains another, and the facets b minus g of each K^b form
-    an antichain that needs no maximality pass.  Renumbering the bits of b
-    in order is an isomorphism of complexes, so K^b is computed once per
-    compressed shape (|b| and the renumbered dividing generators) within
-    one call; no result is kept across calls.  Strong collapses (deleting a vertex whose maximal
-    simplices all contain some other vertex) shrink each complex before any
-    matrix work; they are homotopy equivalences, so the ranks are unchanged.
-    Ranks come from exact integer elimination with clearing.
+    Splitting I = J + (m) gives the exact sequence 0 -> J cap (m) ->
+    J (+) (m) -> I -> 0, and its long exact sequence of Tor gives
+    beta_{i,b}(I) <= beta_{i,b}(J) + beta_{i,b}((m)) + beta_{i-1,b}(J cap (m)).
+    So every nonzero beta_{i,b} lies at a multidegree that the Mayer-Vietoris
+    tree (_mayer_vietoris) records, and homology decides each (_betti_at).
     """
     gens = ideal.sorted_generators()
     k = len(gens)
@@ -234,30 +223,33 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
         shift += width[v]
     masks = [sum(((1 << e) - 1) << offset[v] for v, e in g.items()) for g in gens]
 
-    homology: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    shapes: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    cores: dict[tuple[int, ...], dict[int, int]] = {}
     betti: dict[int, int] = {}
     for b in {b for _, b in _mayer_vietoris(masks)}:
-        shape = []
-        outside = ~b
-        for g in masks:
-            if not g & outside:
-                c = 0
-                while g:
-                    v = g & -g
-                    c |= 1 << (b & (v - 1)).bit_count()
-                    g ^= v
-                shape.append(c)
-        size = b.bit_count()
-        key = (size, tuple(sorted(shape)))
-        ranks = homology.get(key)
-        if ranks is None:
-            full = (1 << size) - 1
-            ranks = homology[key] = _union_homology([full ^ c for c in key[1]])
-        for d, h in ranks.items():
-            betti[d + 1] = betti.get(d + 1, 0) + h
+        for i, h in _betti_at(masks, b, shapes, cores).items():
+            betti[i] = betti.get(i, 0) + h
+    return BettiTable(tuple(betti.get(i, 0) for i in range(max(betti) + 1)))
 
-    top = max(betti)
-    return BettiTable(tuple(betti.get(i, 0) for i in range(top + 1)))
+
+def _betti_at(
+    masks: list[int],
+    b: int,
+    shapes: dict[tuple[int, tuple[int, ...]], dict[int, int]],
+    cores: dict[tuple[int, ...], dict[int, int]],
+) -> dict[int, int]:
+    """{i: beta_{i,b}}, zeros omitted (not to be mutated), of the ideal of the
+    masks.  Renumbering b's bits in order is an isomorphism, so shapes maps
+    each shape (|b| and the renumbered dividing masks) to it; shapes and
+    cores (see _union_homology) belong to one call.
+    """
+    size, outside = b.bit_count(), ~b
+    key = (size, tuple(sorted(_renumber(g, b) for g in masks if not g & outside)))
+    betti = shapes.get(key)
+    if betti is None:
+        ranks = _union_homology([((1 << size) - 1) ^ c for c in key[1]], cores)
+        betti = shapes[key] = {d + 1: h for d, h in ranks.items()}
+    return betti
 
 
 # Largest Mayer-Vietoris tree the oracle walks; past it the oracle raises
@@ -269,15 +261,17 @@ def _mayer_vietoris(masks: list[int]) -> Counter[tuple[int, int]]:
     """The (dimension, multidegree) records of the Mayer-Vietoris tree of the
     squarefree ideal minimally generated by the given masks, with counts.
 
-    A node with generators g_1..g_k at dimension d pivots on m = g_k: its
-    left child is g_1..g_{k-1} at dimension d, and its right child is the
-    minimalized g_i | m (the generators of J cap (m)) at dimension d + 1.
-    Each pivot and each leaf (a node with one generator) records its
-    generator at its dimension.  By induction over the exact sequence of
-    the split, beta_{i,b} is at most the number of records (i, b).
+    The root takes _linear_order's order.  A node g_1..g_k at dimension d
+    pivots on m = g_k and records m at d; its left child is g_1..g_{k-1} at
+    d, and its right child at d + 1 is J cap (m): m | v for each single-bit
+    quotient v = g_i minus m, then the minimal m | q over the quotients q
+    that hold no such bit.  So beta_{i,b} is at most the number of records
+    (i, b).  Along linear quotients every right child is m | v alone, whose
+    subtree records each m | f once, at d + |f|, so there is one record per
+    unit of the total Betti number.
     """
     records: Counter[tuple[int, int]] = Counter()
-    stack = [(masks, 0)]
+    stack = [(_linear_order(masks), 0)]
     nodes = 0
     while stack:
         gens, d = stack.pop()
@@ -289,8 +283,36 @@ def _mayer_vietoris(masks: list[int]) -> Counter[tuple[int, int]]:
         if len(gens) > 1:
             rest = gens[:-1]
             stack.append((rest, d))
-            stack.append((_minimal_masks(g | m for g in rest), d + 1))
+            singles, others = _colon(rest, m)
+            right = [m | v for v in singles] + _minimal_masks(m | q for q in others)
+            stack.append((right, d + 1))
     return records
+
+
+def _colon(gens: list[int], m: int) -> tuple[set[int], list[int]]:
+    """The quotients g minus m of the masks by m: the distinct single bits,
+    and the others that hold none of those bits."""
+    singles: set[int] = set()
+    others: list[int] = []
+    for g in gens:
+        q = g & ~m
+        if q & (q - 1):
+            others.append(q)
+        else:
+            singles.add(q)
+    bits = sum(singles)
+    return singles, [q for q in others if not q & bits]
+
+
+def _linear_order(masks: list[int]) -> list[int]:
+    """The masks in a greedy order that reads nothing but the masks: next
+    comes the first remaining mask whose colon by those already taken is
+    generated by single bits, or the first remaining one if none is."""
+    order, rest = [], list(masks)
+    while rest:
+        i = next((i for i, m in enumerate(rest) if not _colon(order, m)[1]), 0)
+        order.append(rest.pop(i))
+    return order
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -321,19 +343,64 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _union_homology(masks: list[int]) -> dict[int, int]:
-    """Reduced rational homology ranks of a union of full simplices.
+def _union_homology(
+    masks: list[int], cores: dict[tuple[int, ...], dict[int, int]]
+) -> dict[int, int]:
+    """Reduced rational homology ranks {dimension: rank}, zeros omitted, of
+    the union of the full simplices on the masks (at least one; dimension -1
+    means the empty face alone).  An antichain is faster, not more correct:
+    a repeated or contained mask adds no face.  cores, which the caller
+    keeps, maps each strong-collapse core to its ranks, so each distinct
+    core is ranked once.
+    """
+    core = _strong_collapse(masks)
+    if core not in cores:
+        cores[core] = _core_homology(core)
+    return cores[core]
 
-    Input: one vertex bitmask per simplex, at least one (the empty face is
-    always present).  Output: {dimension: rank} with zero ranks omitted;
-    dimension -1 appears exactly when the complex is the empty face alone.
-    The input is expected to be an antichain (the facets) for speed, not for
-    correctness: a repeated or contained mask adds no face and only makes
-    the collapse test below stricter.
 
-    Each sweep deletes every vertex v whose simplices all contain another
-    vertex still present (a strong collapse).  Deleting v leaves the other
-    vertices' simplices as they were, so one sweep can delete many vertices.
+def _strong_collapse(masks: list[int]) -> tuple[int, ...]:
+    """The sorted facets of a strong-collapse core of the union of the full
+    simplices on the masks, with its vertices renumbered 0, 1, ... in order.
+    Each sweep deletes every vertex whose simplices all contain another
+    vertex still present (a homotopy equivalence), so one sweep can delete
+    many.  A cone gives the point (1,), the empty face alone (0,).
+    """
+    while True:
+        common, union = -1, 0
+        for m in masks:
+            common &= m
+            union |= m
+        if common:
+            return (1,)
+        doomed = 0
+        bits = union
+        while bits:
+            v = bits & -bits
+            bits ^= v
+            shared = ~(v | doomed)
+            for m in masks:
+                if m & v:
+                    shared &= m
+            if shared:
+                doomed |= v
+        if not doomed:
+            return tuple(sorted(_renumber(m, union) for m in masks))
+        masks = _maximal_masks(m & ~doomed for m in masks)
+
+
+def _renumber(g: int, b: int) -> int:
+    """The bits of g, a subset of b, renumbered by their rank among b's bits."""
+    c = 0
+    while g:
+        v = g & -g
+        c |= 1 << (b & (v - 1)).bit_count()
+        g ^= v
+    return c
+
+
+def _core_homology(masks: Sequence[int]) -> dict[int, int]:
+    """_union_homology's ranks, by exact elimination on every face.
 
     The boundary ranks are taken from the top dimension down, with clearing
     (Chen-Kerber 2011): a face that is a pivot column of the boundary rows
@@ -342,29 +409,6 @@ def _union_homology(masks: list[int]) -> dict[int, int]:
     cleared face lies in the span of the boundaries of the faces after it,
     and by induction from the last cleared face, of the rows kept.
     """
-    while True:
-        if len(masks) == 1:
-            return {} if masks[0] else {-1: 1}
-        common, union = -1, 0
-        for m in masks:
-            common &= m
-            union |= m
-        if common:
-            return {}
-        doomed = 0
-        while union:
-            v = union & -union
-            union ^= v
-            shared = ~(v | doomed)
-            for m in masks:
-                if m & v:
-                    shared &= m
-            if shared:
-                doomed |= v
-        if not doomed:
-            break
-        masks = _maximal_masks(m & ~doomed for m in masks)
-
     faces: set[int] = set()
     for m in masks:
         s = m

@@ -1,8 +1,9 @@
 """Linear quotients, Betti numbers, and the independent homology oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -536,7 +537,7 @@ def test_union_homology_equals_reference_on_antichains():
         if rng.random() < 0.5:
             masks = complements(masks)
         facets = antichain(masks)
-        assert resolution._union_homology(facets) == reference_union_homology(facets), facets
+        assert resolution._union_homology(facets, {}) == reference_union_homology(facets), facets
 
 
 def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
@@ -556,7 +557,7 @@ def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
     for n in range(3, 9):
         calls.clear()
         full = (1 << n) - 1
-        assert resolution._union_homology([full ^ (1 << i) for i in range(n)]) == {n - 2: 1}
+        assert resolution._union_homology([full ^ (1 << i) for i in range(n)], {}) == {n - 2: 1}
         kept = [(comb(n - 1, c - 1), comb(n - 1, c - 1)) for c in range(n - 2, 0, -1)]
         assert calls == [(n, n - 1)] + kept, n
 
@@ -587,23 +588,63 @@ def compressed_shapes(masks, multidegrees):
     return shapes
 
 
+def collapsed_core(facets):
+    """The core of the complex with the given facets after sweeps of strong
+    collapses: each sweep deletes, in increasing order, every vertex whose
+    facets all contain another vertex that the sweep has not deleted.  The
+    core's facets are returned sorted, its vertices renumbered 0, 1, ... in
+    order; a cone is the point (1,)."""
+    while True:
+        vertices = sorted({p for m in facets for p in range(m.bit_length()) if m >> p & 1})
+        if any(all(m >> v & 1 for m in facets) for v in vertices):
+            return (1,)
+        doomed = set()
+        for v in vertices:
+            star = [m for m in facets if m >> v & 1]
+            if any(
+                u != v and u not in doomed and all(m >> u & 1 for m in star) for u in vertices
+            ):
+                doomed.add(v)
+        if not doomed:
+            break
+        facets = reference_maximal_masks(
+            sum(1 << p for p in vertices if m >> p & 1 and p not in doomed) for m in facets
+        )
+    return tuple(
+        sorted(sum(1 << i for i, p in enumerate(vertices) if m >> p & 1) for m in facets)
+    )
+
+
 def test_oracle_computes_each_compressed_shape_once_per_call(monkeypatch):
+    """Each compressed shape on the tree is collapsed once per call, and each
+    distinct collapsed core is ranked once per call, with nothing kept from
+    the first call to the second."""
     ideal = matching_ideal(BlockStructure((2, 2, 2)))
     masks = squarefree_masks(ideal)
     shapes = compressed_shapes(masks, {b for _, b in resolution._mayer_vietoris(masks)})
     assert len(shapes) < len(compressed_shapes(masks, lcm_lattice(masks)))
-    calls = []
-    union_homology = resolution._union_homology
+    cores = {collapsed_core([((1 << size) - 1) ^ g for g in gens]) for size, gens in shapes}
+    assert len(cores) < len(shapes)
+    collapsed, ranked = [], []
+    strong_collapse = resolution._strong_collapse
+    core_homology = resolution._core_homology
 
-    def counting(masks):
-        calls.append(masks)
-        return union_homology(masks)
+    def collapsing(masks):
+        collapsed.append(masks)
+        return strong_collapse(masks)
 
-    monkeypatch.setattr(resolution, "_union_homology", counting)
+    def ranking(core):
+        ranked.append(core)
+        return core_homology(core)
+
+    monkeypatch.setattr(resolution, "_strong_collapse", collapsing)
+    monkeypatch.setattr(resolution, "_core_homology", ranking)
     for _ in range(2):
-        calls.clear()
+        collapsed.clear()
+        ranked.clear()
         assert list(betti_oracle(ideal)) == [20, 45, 36, 10]
-        assert len(calls) == len(shapes)
+        assert len(collapsed) == len(shapes)
+        assert sorted(ranked) == sorted(cores)
 
 
 def test_oracle_invariant_under_variable_relabeling():
@@ -628,12 +669,89 @@ def test_mayer_vietoris_node_cap_raises(monkeypatch):
     assert list(betti_oracle(ideal)) == [10, 15, 6]
 
 
+def test_mayer_vietoris_node_cap_bounds_the_records_written(monkeypatch):
+    # On (x1, ..., x16) the root's right child is 15 single variables, a
+    # subtree of 2^15 - 1 nodes; the walk writes no more records than the cap.
+    writes = []
+
+    class Records(Counter):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(resolution, "Counter", Records)
+    monkeypatch.setattr(resolution, "_MV_NODE_CAP", 1000)
+    with pytest.raises(TooLargeError, match="exceeds 1000 nodes"):
+        resolution._mayer_vietoris([1 << i for i in range(16)])
+    assert 0 < len(writes) <= 1000
+
+
 def certificate_table(parts):
     n = sum(parts)
     cert = linear_quotients_certificate(
         [t.monomial(n) for t in sort_generators(BlockStructure(parts))]
     )
     return list(betti_from_certificate(cert))
+
+
+def assert_minimal_tree(parts):
+    """The oracle's Mayer-Vietoris tree on the matching ideal records one
+    (dimension, multidegree) per unit of the total Betti number, each in the
+    linear strand: a multidegree of degree d + 3 at dimension d."""
+    masks = squarefree_masks(matching_ideal(BlockStructure(parts)))
+    records = resolution._mayer_vietoris(masks)
+    assert sum(records.values()) == sum(betti_diagonal_table(sum(parts))), parts
+    assert set(records.values()) == {1}, parts
+    assert all(b.bit_count() == d + 3 for d, b in records), parts
+
+
+def test_mayer_vietoris_tree_is_minimal_on_every_composition_through_n8():
+    for n in range(3, 9):
+        for parts in all_compositions(n):
+            assert_minimal_tree(parts)
+
+
+@pytest.mark.parametrize(
+    "parts", [(7, 3), (5, 5), (8, 1, 3), (2, 3, 1, 4, 2), (3, 3, 3, 3), (12,)]
+)
+def test_mayer_vietoris_tree_is_minimal_at_n10_and_n12(parts):
+    # Pivoting in sorted order instead records 67 209, 35 259, 1 125 183,
+    # 87 305 and 106 017 times on the first five.
+    assert_minimal_tree(parts)
+
+
+@pytest.mark.slow
+def test_mayer_vietoris_tree_fits_the_cap_on_a_seeded_sample_at_n12():
+    assert resolution._MV_NODE_CAP == 200_000
+    for parts in random.Random(12).sample(list(all_compositions(12)), 30):
+        assert_minimal_tree(parts)
+
+
+def test_oracle_multigraded_betti_numbers_equal_the_certificate_through_n7():
+    """beta_{i,b} from the oracle's homology at each multidegree of its tree
+    equals the certificate's prediction: one (|F|, u_j x_F) for each
+    generator u_j and each F inside its colon set, not only in total."""
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            ideal = matching_ideal(BlockStructure(parts))
+            variables = sorted({v for g in ideal.generators for v in g.variables()})
+            bit = {v: 1 << i for i, v in enumerate(variables)}
+            cert = linear_quotients_certificate(
+                [t.monomial(n) for t in sort_generators(BlockStructure(parts))]
+            )
+            predicted = Counter()
+            for u, s in zip(cert.ordered, cert.sets):
+                base = sum(bit[v] for v in u.variables())
+                for r in range(len(s) + 1):
+                    for f in combinations(s, r):
+                        predicted[r, base | sum(bit[v] for v in f)] += 1
+            masks = squarefree_masks(ideal)
+            shapes, cores = {}, {}
+            got = Counter()
+            for b in {b for _, b in resolution._mayer_vietoris(masks)}:
+                for i, h in resolution._betti_at(masks, b, shapes, cores).items():
+                    got[i, b] += h
+            assert got == predicted, parts
 
 
 @pytest.mark.parametrize("parts", [(7,), (4, 3), (2, 3, 2), (1,) * 7])
@@ -653,6 +771,12 @@ def test_oracle_all_structures_at_n8_match_certificate_and_closed_form():
     for parts in all_compositions(8):
         got = betti_oracle(matching_ideal(BlockStructure(parts)), max_generators=56)
         assert list(got) == certificate_table(parts) == list(betti_diagonal_table(8)), parts
+
+
+@pytest.mark.slow
+def test_oracle_on_8_1_3_matches_certificate_and_closed_form():
+    got = betti_oracle(matching_ideal(BlockStructure((8, 1, 3))), max_generators=220)
+    assert list(got) == certificate_table((8, 1, 3)) == list(betti_diagonal_table(12))
 
 
 @pytest.mark.slow
@@ -786,10 +910,16 @@ def _names_in(fn):
 def test_certificate_and_oracle_share_no_code():
     oracle = [
         resolution.betti_oracle,
+        resolution._betti_at,
         resolution._mayer_vietoris,
+        resolution._colon,
+        resolution._linear_order,
         resolution._minimal_masks,
         resolution._maximal_masks,
         resolution._union_homology,
+        resolution._strong_collapse,
+        resolution._renumber,
+        resolution._core_homology,
     ]
     certificate = {
         "_packed",
@@ -807,5 +937,8 @@ def test_certificate_and_oracle_share_no_code():
     helpers = {fn.__name__ for fn in oracle} | {"rational_rank"}
     assert not _names_in(resolution.linear_quotients_certificate) & helpers
     assert "pack_minimal" in _names_in(resolution.linear_quotients_certificate)
-    # The tree pivots along the ideal's own sorted order, not the block order.
+    # The oracle polarizes the ideal's own sorted generators, and the tree
+    # pivots along the order that _linear_order finds from those masks, not
+    # along the block order.
     assert "sorted_generators" in _names_in(resolution.betti_oracle)
+    assert "_linear_order" in _names_in(resolution._mayer_vietoris)
