@@ -56,6 +56,11 @@ MAX_PRINTED_BINOMIALS = 200
 # linear-quotients certificate's work grows as the square of their number.
 MAX_BETTI_GENERATORS = comb(20, 3)
 
+# verify refuses more 3 x 3 minors than there are at n = 20: it builds every
+# minor and every S-pair of them, and its time grows about threefold for
+# every two columns.
+MAX_VERIFY_MINORS = comb(20, 3)
+
 # generators and cointerval refuse more generators than the matching ideal
 # has at n = 60: the output and the layer table grow as n^3.
 MAX_GENERATORS = comb(60, 3)
@@ -156,6 +161,7 @@ def _cmd_verify(args) -> _Output:
     if args.budget is not None:
         _at_least(args.budget, 0, "--budget")
     a = _structure(args)
+    _limit_generators(a.n, "verify", "MAX_VERIFY_MINORS", MAX_VERIFY_MINORS)
     report = verify_theorem_main(
         a,
         w0=args.w0,

@@ -10,6 +10,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .errors import TooLargeError
+
+# Most rows Fourier-Motzkin elimination may hold after projecting a variable
+# away.  The rows can square at each projection: the supports of 10-term
+# polynomials in 8 variables need hundreds, of some 11-term ones over 10 000.
+_FM_ROW_CAP = 10_000
+
 
 def rational_rank(
     rows: Iterable[dict[int, Fraction | int]], *, pivots: set[int] | None = None
@@ -77,7 +84,8 @@ def homogeneous_feasible(
     Exact Fourier-Motzkin elimination.  Equalities are removed first by
     substitution; the strict inequalities are then projected one variable at
     a time, combinations of a strict constraint staying strict.  The system
-    is infeasible exactly when a 0 < 0 row is derived.
+    is infeasible exactly when a 0 < 0 row is derived.  Raises TooLargeError
+    once a projection holds more than _FM_ROW_CAP rows.
     """
     dims = {len(r) for r in list(equalities) + list(strict)}
     if len(dims) > 1:
@@ -127,6 +135,8 @@ def homogeneous_feasible(
                 if not any(comb):
                     return False
                 keep.add(_normalize(comb))
+            if len(keep) > _FM_ROW_CAP:
+                raise TooLargeError(f"Fourier-Motzkin passed {_FM_ROW_CAP} rows")
         rows = keep
         if not rows:
             break

@@ -144,6 +144,26 @@ def test_betti_size_guard_is_on_by_default(capsys):
         assert f"{generators} generators" in err and "MAX_BETTI_GENERATORS=1140" in err
 
 
+def test_verify_size_guard_sits_at_its_limit(capsys, monkeypatch):
+    """One column past MAX_VERIFY_MINORS, verify exits 2 before any minor is
+    built."""
+    assert cli.MAX_VERIFY_MINORS == comb(20, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the minors were built")
+
+    monkeypatch.setattr(cli, "verify_theorem_main", refuse)
+    code, out, err = run(capsys, "verify", "--n", "21")
+    assert code == 2 and out == ""
+    assert err == "error: 1330 generators exceeds the verify limit MAX_VERIFY_MINORS=1140\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_VERIFY_MINORS", comb(6, 3))
+    assert run(capsys, "verify", "--n", "6")[0] == 0
+    code, out, err = run(capsys, "verify", "--n", "7")
+    assert code == 2 and out == ""
+    assert "MAX_VERIFY_MINORS=20" in err
+
+
 @pytest.mark.parametrize("command", ["generators", "cointerval"])
 def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
     """At MAX_GENERATORS the command runs; one generator more, it exits 2

@@ -1,5 +1,6 @@
 """Linear quotients, Betti numbers, and the independent homology oracle."""
 
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
@@ -537,7 +538,17 @@ def test_union_homology_equals_reference_on_antichains():
         if rng.random() < 0.5:
             masks = complements(masks)
         facets = antichain(masks)
-        assert resolution._union_homology(facets, {}) == reference_union_homology(facets), facets
+        core = resolution._strong_collapse(facets)
+        assert resolution._core_homology(core) == reference_union_homology(facets), facets
+
+
+def test_strong_collapse_deletes_dominated_vertices_and_keeps_contained_facets():
+    # A 4-cycle with the pendant edge {0, 4}: vertex 0 dominates vertex 4,
+    # and deleting 4 leaves the facet {0} inside the cycle's edges, kept.
+    cycle = [0b0011, 0b0110, 0b1100, 0b1001]
+    core = resolution._strong_collapse(cycle + [0b10001])
+    assert core == (0b0001, 0b0011, 0b0110, 0b1001, 0b1100)
+    assert resolution._core_homology(core) == {1: 1}
 
 
 def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
@@ -557,7 +568,8 @@ def test_clearing_leaves_only_the_uncleared_rows(monkeypatch):
     for n in range(3, 9):
         calls.clear()
         full = (1 << n) - 1
-        assert resolution._union_homology([full ^ (1 << i) for i in range(n)], {}) == {n - 2: 1}
+        core = resolution._strong_collapse([full ^ (1 << i) for i in range(n)])
+        assert resolution._core_homology(core) == {n - 2: 1}
         kept = [(comb(n - 1, c - 1), comb(n - 1, c - 1)) for c in range(n - 2, 0, -1)]
         assert calls == [(n, n - 1)] + kept, n
 
@@ -616,15 +628,9 @@ def collapsed_core(facets):
 
 
 def test_oracle_computes_each_compressed_shape_once_per_call(monkeypatch):
-    """Each compressed shape on the tree is collapsed once per call, and each
-    distinct collapsed core is ranked once per call, with nothing kept from
-    the first call to the second."""
-    ideal = matching_ideal(BlockStructure((2, 2, 2)))
-    masks = squarefree_masks(ideal)
-    shapes = compressed_shapes(masks, {b for _, b in resolution._mayer_vietoris(masks)})
-    assert len(shapes) < len(compressed_shapes(masks, lcm_lattice(masks)))
-    cores = {collapsed_core([((1 << size) - 1) ^ g for g in gens]) for size, gens in shapes}
-    assert len(cores) < len(shapes)
+    """On every composition of n <= 6, each compressed shape on the tree is
+    collapsed once per call, and each distinct collapsed core is ranked once
+    per call, with nothing kept from the first call to the second."""
     collapsed, ranked = [], []
     strong_collapse = resolution._strong_collapse
     core_homology = resolution._core_homology
@@ -639,12 +645,25 @@ def test_oracle_computes_each_compressed_shape_once_per_call(monkeypatch):
 
     monkeypatch.setattr(resolution, "_strong_collapse", collapsing)
     monkeypatch.setattr(resolution, "_core_homology", ranking)
-    for _ in range(2):
-        collapsed.clear()
-        ranked.clear()
-        assert list(betti_oracle(ideal)) == [20, 45, 36, 10]
-        assert len(collapsed) == len(shapes)
-        assert sorted(ranked) == sorted(cores)
+    at_n6 = Counter()
+    for n in range(3, 7):
+        for parts in all_compositions(n):
+            ideal = matching_ideal(BlockStructure(parts))
+            masks = squarefree_masks(ideal)
+            shapes = compressed_shapes(masks, {b for _, b in resolution._mayer_vietoris(masks)})
+            cores = {collapsed_core([((1 << size) - 1) ^ g for g in gens]) for size, gens in shapes}
+            if parts == (2, 2, 2):
+                assert len(shapes) < len(compressed_shapes(masks, lcm_lattice(masks)))
+                assert len(cores) < len(shapes)
+            for _ in range(2):
+                collapsed.clear()
+                ranked.clear()
+                assert list(betti_oracle(ideal)) == list(betti_diagonal_table(n)), parts
+                assert len(collapsed) == len(shapes), parts
+                assert sorted(ranked) == sorted(cores), parts
+            if n == 6:
+                at_n6.update(shapes=len(shapes), cores=len(cores))
+    assert at_n6 == Counter(shapes=640, cores=256)
 
 
 def test_oracle_invariant_under_variable_relabeling():
@@ -907,20 +926,30 @@ def _names_in(fn):
     return names
 
 
+def oracle_functions():
+    """resolution's own functions that betti_oracle reaches, following the
+    names each one refers to."""
+    found, stack = {}, [resolution.betti_oracle]
+    while stack:
+        fn = stack.pop()
+        found[fn.__name__] = fn
+        for name in _names_in(fn) - found.keys():
+            obj = getattr(resolution, name, None)
+            if inspect.isfunction(obj) and obj.__module__ == resolution.__name__:
+                stack.append(obj)
+    return list(found.values())
+
+
 def test_certificate_and_oracle_share_no_code():
-    oracle = [
-        resolution.betti_oracle,
-        resolution._betti_at,
-        resolution._mayer_vietoris,
-        resolution._colon,
-        resolution._linear_order,
-        resolution._minimal_masks,
-        resolution._maximal_masks,
-        resolution._union_homology,
-        resolution._strong_collapse,
-        resolution._renumber,
-        resolution._core_homology,
-    ]
+    oracle = oracle_functions()
+    assert {fn.__name__ for fn in oracle} >= {
+        "betti_oracle",
+        "_betti_at",
+        "_mayer_vietoris",
+        "_linear_order",
+        "_strong_collapse",
+        "_core_homology",
+    }
     certificate = {
         "_packed",
         "Layout",
