@@ -176,9 +176,6 @@ class RelabelMap:
     l: int
     assignment: tuple[tuple[VariableId, int], ...]
 
-    def as_dict(self) -> dict[VariableId, int]:
-        return dict(self.assignment)
-
     @property
     def size(self) -> int:
         return self.m + self.k + self.l

@@ -25,16 +25,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Optional, Sequence
 
 from . import __version__
-from .algebra import VariableId
+from .algebra import VariableId, xvar
 from .cellular import _cointerval_inputs, is_cointerval
 from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
-from .matching import BlockStructure, sort_generators, weight_matrix
+from .matching import BlockStructure, _composition, sort_generators, weight_matrix
 from .resolution import betti_from_certificate, linear_quotients_certificate
 from .toric import (
     _check_slice_budget,
@@ -43,6 +44,7 @@ from .toric import (
     _plucker_names,
     plucker_map_from_matching_field,
     plucker_quadric_gr24,
+    plucker_variable_name,
 )
 
 CSV_COMMANDS = {"generators", "weights", "betti"}
@@ -66,15 +68,6 @@ MAX_VERIFY_MINORS = comb(20, 3)
 MAX_GENERATORS = comb(60, 3)
 
 
-def _limit_generators(n: int, command: str, name: str, limit: int) -> None:
-    """Refuse with TooLargeError, before any triple is built, when the
-    matching ideal on n columns has more than limit generators."""
-    if comb(n, 3) > limit:
-        raise TooLargeError(
-            f"{comb(n, 3)} generators exceeds the {command} limit {name}={limit}"
-        )
-
-
 class _Output:
     def __init__(self, ok: bool, input_dict: dict, result: dict, text: list[str], rows=None):
         self.ok = ok
@@ -93,14 +86,22 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _structure(args) -> BlockStructure:
+def _parts(args, limit_name: Optional[str] = None, limit: int = 0) -> tuple[int, ...]:
+    """The composition given by --blocks and --n, checked without building a
+    BlockStructure.  Given limit_name, refuse with TooLargeError a matching
+    ideal of more than limit generators; that reads only n = sum(parts), so
+    it runs before any column table or triple is built."""
     if args.blocks is None and args.n is None:
         raise ValueError("provide --blocks and/or --n")
-    parts = _parse_blocks(args.blocks) if args.blocks is not None else (args.n,)
-    a = BlockStructure(parts)
-    if args.n is not None and a.n != args.n:
-        raise ValueError(f"--n {args.n} contradicts --blocks summing to {a.n}")
-    return a
+    parts = _composition(_parse_blocks(args.blocks) if args.blocks is not None else (args.n,))
+    n = sum(parts)
+    if args.n is not None and n != args.n:
+        raise ValueError(f"--n {args.n} contradicts --blocks summing to {n}")
+    if limit_name is not None and comb(n, 3) > limit:
+        raise TooLargeError(
+            f"{comb(n, 3)} generators exceeds the {args.command} limit {limit_name}={limit}"
+        )
+    return parts
 
 
 def _input_dict(a: Optional[BlockStructure], n: Optional[int], w0: Optional[int]) -> dict:
@@ -112,9 +113,8 @@ def _input_dict(a: Optional[BlockStructure], n: Optional[int], w0: Optional[int]
 
 
 def _cmd_generators(args) -> _Output:
-    a = _structure(args)
+    a = BlockStructure(_parts(args, "MAX_GENERATORS", MAX_GENERATORS))
     n = a.n
-    _limit_generators(n, "generators", "MAX_GENERATORS", MAX_GENERATORS)
     gens = [
         {"columns": list(t.subset()), "triple": [t.x, t.y, t.z], "monomial": str(t)}
         for t in sort_generators(a)
@@ -129,7 +129,7 @@ def _cmd_generators(args) -> _Output:
 
 
 def _cmd_weights(args) -> _Output:
-    a = _structure(args)
+    a = BlockStructure(_parts(args))
     n = a.n
     order = weight_matrix(a, args.w0)
     by_family = {
@@ -160,8 +160,7 @@ def _at_least(value: int, least: int, name: str) -> int:
 def _cmd_verify(args) -> _Output:
     if args.budget is not None:
         _at_least(args.budget, 0, "--budget")
-    a = _structure(args)
-    _limit_generators(a.n, "verify", "MAX_VERIFY_MINORS", MAX_VERIFY_MINORS)
+    a = BlockStructure(_parts(args, "MAX_VERIFY_MINORS", MAX_VERIFY_MINORS))
     report = verify_theorem_main(
         a,
         w0=args.w0,
@@ -191,9 +190,8 @@ def _cmd_verify(args) -> _Output:
 
 
 def _cmd_betti(args) -> _Output:
-    a = _structure(args)
+    a = BlockStructure(_parts(args, "MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS))
     n = a.n
-    _limit_generators(n, "betti", "MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS)
     ordered = [t.monomial(n) for t in sort_generators(a)]
     cert = linear_quotients_certificate(ordered)
     result = {
@@ -225,8 +223,7 @@ def _cmd_betti(args) -> _Output:
 
 
 def _cmd_cointerval(args) -> _Output:
-    a = _structure(args)
-    _limit_generators(a.n, "cointerval", "MAX_GENERATORS", MAX_GENERATORS)
+    a = BlockStructure(_parts(args, "MAX_GENERATORS", MAX_GENERATORS))
     layers, f, g = _cointerval_inputs(a)
     ok, witness = is_cointerval(g)
     edges = g.sorted_edges()
@@ -267,10 +264,11 @@ def _edge_label(e: tuple) -> str:
 def _cmd_kernel(args) -> _Output:
     _at_least(args.dmax, 1, "--dmax")
     _at_least(args.budget, 0, "--budget")
-    a = _structure(args)
-    plucker_count = comb(a.n, 3)
+    parts = _parts(args)
+    plucker_count = comb(sum(parts), 3)
     for d in range(1, args.dmax + 1):
         _check_slice_budget(plucker_count, d, args.budget)
+    a = BlockStructure(parts)
     pmap = plucker_map_from_matching_field(a)
     names = _plucker_names(pmap)
     slices = []
@@ -315,15 +313,12 @@ def _cmd_supports(args) -> _Output:
     if (k, n) != (2, 4):
         raise ValueError("only the 2x4 Pluecker quadric is supported")
     f = plucker_quadric_gr24()
-    names = {1: "p12", 2: "p13", 3: "p14", 4: "p23", 5: "p24", 6: "p34"}
-
-    def render(m) -> str:
-        return "*".join(
-            names[v.index] if e == 1 else f"{names[v.index]}^{e}" for v, e in m.items()
-        )
-
-    supports = attainable_initial_supports(f)
-    rendered = sorted(sorted(render(m) for m in s) for s in supports)
+    # x_k stands for the k-th 2-subset of {1, .., 4}, as the quadric says.
+    names = [plucker_variable_name(sub) for sub in combinations(range(1, 5), 2)]
+    rendered = sorted(
+        sorted(_format_exponents(names, [m.exponent(xvar(k)) for k in range(1, 7)]) for m in s)
+        for s in attainable_initial_supports(f)
+    )
     result = {"count": len(rendered), "supports": rendered}
     text = [
         f"initial supports of the {k}x{n} Pluecker quadric attainable by weight vectors:",

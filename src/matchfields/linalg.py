@@ -1,6 +1,8 @@
 """Small exact linear-algebra helpers: ranks and linear feasibility.
 
-Ranks are computed by fraction-free integer elimination; feasibility works
+Ranks are computed by fraction-free integer elimination.  Feasibility of a
+homogeneous system of equalities and strict inequalities is decided through
+Motzkin's alternative by phase one of the simplex method with Bland's rule,
 over fractions.Fraction.  No floating point and no modular arithmetic.
 """
 
@@ -9,13 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-from .errors import TooLargeError
-
-# Most rows Fourier-Motzkin elimination may hold after projecting a variable
-# away.  The rows can square at each projection: the supports of 10-term
-# polynomials in 8 variables need hundreds, of some 11-term ones over 10 000.
-_FM_ROW_CAP = 10_000
 
 
 def rational_rank(
@@ -67,77 +62,61 @@ def rational_rank(
     return rank
 
 
-def _normalize(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    for v in vec:
-        if v:
-            scale = abs(v)
-            return tuple(x / scale for x in vec)
-    return vec
-
-
 def homogeneous_feasible(
     equalities: Sequence[Sequence[Fraction | int]],
     strict: Sequence[Sequence[Fraction | int]],
 ) -> bool:
     """Does some rational w satisfy e.w == 0 for all e and s.w < 0 for all s?
 
-    Exact Fourier-Motzkin elimination.  Equalities are removed first by
-    substitution; the strict inequalities are then projected one variable at
-    a time, combinations of a strict constraint staying strict.  The system
-    is infeasible exactly when a 0 < 0 row is derived.  Raises TooLargeError
-    once a projection holds more than _FM_ROW_CAP rows.
+    Equalities are substituted away, turning each strict row s into s'.  By
+    Motzkin's alternative the system is infeasible exactly when some
+    lambda >= 0 with sum(lambda) == 1 has sum(lambda_s * s') == 0.  Phase one
+    of the simplex method decides that, exactly over Fraction: one
+    artificial variable per constraint starts basic, and the system is
+    infeasible exactly when their sum can be driven to 0.  Bland's rule
+    (lowest entering index, ratio ties to the lowest basic index) never
+    cycles, so each call terminates.
     """
-    dims = {len(r) for r in list(equalities) + list(strict)}
-    if len(dims) > 1:
+    if len({len(r) for r in [*equalities, *strict]}) > 1:
         raise ValueError("constraint rows of mixed dimension")
-    if not dims:
-        return True
-    dim = dims.pop()
+    pivots: list[tuple[int, list[Fraction]]] = []
 
-    eqs = [tuple(Fraction(v) for v in row) for row in equalities]
-    ineqs = [tuple(Fraction(v) for v in row) for row in strict]
+    def substitute(row: Sequence[Fraction | int]) -> list[Fraction]:
+        row = [Fraction(v) for v in row]
+        for c, prow in pivots:
+            row = [v - row[c] * p for v, p in zip(row, prow)]
+        return row
 
-    # Substitute equalities away: each pivot column is eliminated everywhere.
-    reduced: list[tuple[int, tuple[Fraction, ...]]] = []
-    for row in eqs:
-        work = list(row)
-        for pc, prow in reduced:
-            if work[pc]:
-                f = work[pc]
-                work = [w - f * p for w, p in zip(work, prow)]
-        pivot = next((c for c, v in enumerate(work) if v), None)
-        if pivot is None:
-            continue
-        inv = 1 / work[pivot]
-        prow = tuple(v * inv for v in work)
-        reduced.append((pivot, prow))
-    for pc, prow in reduced:
-        ineqs = [
-            tuple(v - row[pc] * p for v, p in zip(row, prow)) for row in ineqs
-        ]
+    # map is lazy: each equality is reduced by the pivots of those before it.
+    for row in map(substitute, equalities):
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is not None:
+            pivots.append((c, [v / row[c] for v in row]))
+    rows = [substitute(row) for row in strict]
 
-    rows = set()
-    for r in ineqs:
-        if not any(r):
-            return False  # 0 < 0
-        rows.add(_normalize(r))
-
-    remaining = [c for c in range(dim) if any(r[c] for r in rows)]
-    for c in remaining:
-        pos = [r for r in rows if r[c] > 0]
-        neg = [r for r in rows if r[c] < 0]
-        keep = {r for r in rows if not r[c]}
-        for p in pos:
-            for q in neg:
-                comb = tuple(
-                    v * (-q[c]) + w * p[c] for v, w in zip(p, q)
-                )
-                if not any(comb):
-                    return False
-                keep.add(_normalize(comb))
-            if len(keep) > _FM_ROW_CAP:
-                raise TooLargeError(f"Fourier-Motzkin passed {_FM_ROW_CAP} rows")
-        rows = keep
-        if not rows:
-            break
-    return True
+    # One row per column some s' touches, then sum(lambda) == 1; each ends in
+    # its right-hand side.  Artificial i is basic variable m + i and, once it
+    # leaves the basis, is never needed again, so it has no column.
+    m = len(rows)
+    table = [[*col, Fraction(0)] for col in zip(*rows) if any(col)]
+    table.append([Fraction(1)] * (m + 1))
+    basis = list(range(m, m + len(table)))
+    # The lambdas' reduced costs, then minus the artificials' sum.
+    cost = [-sum(col) for col in zip(*table)]
+    while cost[m]:
+        enter = next((j for j in range(m) if cost[j] < 0), None)
+        if enter is None:
+            return True  # the artificials' least sum is positive
+        _, _, p = min(
+            (row[m] / row[enter], basis[i], i)
+            for i, row in enumerate(table)
+            if row[enter] > 0
+        )
+        prow = table[p]
+        prow[:] = [v / prow[enter] for v in prow]
+        for row in [*table, cost]:
+            if row is not prow and row[enter]:
+                f = row[enter]
+                row[:] = [v - f * pv for v, pv in zip(row, prow)]
+        basis[p] = enter
+    return False

@@ -25,6 +25,16 @@ from .errors import (
 )
 
 
+def _composition(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts as a tuple; ValueError unless they compose some n >= 1."""
+    pp = tuple(parts)
+    if not pp:
+        raise ValueError("a composition needs at least one part")
+    if any(type(p) is not int or p < 1 for p in pp):
+        raise ValueError(f"all parts must be positive integers, got {pp}")
+    return pp
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """A composition of n into positive parts, defining consecutive blocks."""
@@ -32,11 +42,7 @@ class BlockStructure:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        pp = tuple(parts)
-        if not pp:
-            raise ValueError("a composition needs at least one part")
-        if any(type(p) is not int or p < 1 for p in pp):
-            raise ValueError(f"all parts must be positive integers, got {pp}")
+        pp = _composition(parts)
         object.__setattr__(self, "parts", pp)
         # Column -> block table, indexed by column; entry 0 is unused.  It is
         # not a dataclass field, so ==, hash and repr read parts alone.

@@ -204,6 +204,54 @@ def test_kernel_refuses_an_over_budget_degree_before_building_the_map(capsys, mo
     assert err == "error: degree 2 slice has 24310 monomials, over the budget of 300\n"
 
 
+LIMIT_ERRORS = {
+    "generators": "35990 generators exceeds the generators limit MAX_GENERATORS=34220",
+    "cointerval": "35990 generators exceeds the cointerval limit MAX_GENERATORS=34220",
+    "betti": "1330 generators exceeds the betti limit MAX_BETTI_GENERATORS=1140",
+    "verify": "1330 generators exceeds the verify limit MAX_VERIFY_MINORS=1140",
+    "kernel": "degree 1 slice has 551300 monomials, over the budget of 500000",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generators", "--n", "61"],
+        ["generators", "--blocks", "30,31"],
+        ["cointerval", "--n", "61"],
+        ["cointerval", "--blocks", "1,60"],
+        ["betti", "--n", "21"],
+        ["betti", "--blocks", "10,11"],
+        ["verify", "--n", "21"],
+        ["verify", "--blocks", "7,7,7"],
+        ["kernel", "--n", "150", "--dmax", "1"],
+        ["kernel", "--blocks", "75,75", "--dmax", "1"],
+    ],
+)
+def test_size_guards_run_before_the_block_structure_is_built(capsys, monkeypatch, argv):
+    def refuse(parts):
+        raise AssertionError(f"BlockStructure({parts}) was built")
+
+    monkeypatch.setattr(cli, "BlockStructure", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {LIMIT_ERRORS[argv[0]]}\n"
+
+
+def test_malformed_parts_are_reported_before_any_size_guard(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BlockStructure", None)
+    for argv, message in [
+        (["generators", "--n", "0"], "all parts must be positive integers, got (0,)"),
+        (["betti", "--blocks", "0,100"], "all parts must be positive integers, got (0, 100)"),
+        (["verify", "--blocks", "2,x"], "cannot parse --blocks '2,x': expected e.g. 2,3,2"),
+        (["kernel", "--blocks", "75,75", "--n", "151"], "--n 151 contradicts --blocks summing to 150"),
+        (["cointerval"], "provide --blocks and/or --n"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_cointerval_json_golden(capsys):
     code, out, _ = run(capsys, "cointerval", "--blocks", "3,2", "--format", "json")
     assert code == 0

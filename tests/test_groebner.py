@@ -228,15 +228,6 @@ def test_attainable_supports_respects_term_cap():
         attainable_initial_supports(big, max_terms=12)
 
 
-def test_fourier_motzkin_row_cap_raises_rather_than_answers(monkeypatch):
-    from matchfields import TooLargeError, linalg
-
-    monkeypatch.setattr(linalg, "_FM_ROW_CAP", 2)
-    with pytest.raises(TooLargeError):
-        attainable_initial_supports(minor_expand(3, (1, 2, 3)))
-    assert len(attainable_initial_supports(plucker_quadric_gr24())) == 7
-
-
 def test_verify_reports_per_minor_details():
     a = BlockStructure((2, 3))
     rep = verify_theorem_main(a, w0=3)
