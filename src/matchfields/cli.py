@@ -40,6 +40,7 @@ from .resolution import betti_from_certificate, linear_quotients_certificate
 from .toric import (
     _check_slice_budget,
     _format_exponents,
+    _index_label,
     _kernel_and_flatness,
     _plucker_names,
     plucker_map_from_matching_field,
@@ -236,7 +237,7 @@ def _cmd_cointerval(args) -> _Output:
         "l": f.l,
         "relabeling": {str(v): i for v, i in f.assignment},
         "edges": [list(e) for e in edges],
-        "edge_labels": [_edge_label(e) for e in edges],
+        "edge_labels": [_index_label(e) for e in edges],
         "cointerval": ok,
         "witness": list(witness) if witness else None,
     }
@@ -253,12 +254,6 @@ def _cmd_cointerval(args) -> _Output:
         text.append(f"  witness: layers of vertices {witness[0]} and {witness[1]} not nested")
     text.append("PASS" if ok and layers.ok else "FAIL")
     return _Output(ok and layers.ok, _input_dict(a, None, None), result, text)
-
-
-def _edge_label(e: tuple) -> str:
-    if all(v <= 9 for v in e):
-        return "".join(map(str, e))
-    return "-".join(map(str, e))
 
 
 def _cmd_kernel(args) -> _Output:

@@ -2,8 +2,9 @@
 
 Ranks are computed by fraction-free integer elimination.  Feasibility of a
 homogeneous system of equalities and strict inequalities is decided through
-Motzkin's alternative by phase one of the simplex method with Bland's rule,
-over fractions.Fraction.  No floating point and no modular arithmetic.
+Motzkin's alternative, each equality a free column, by phase one of the
+simplex method with Bland's rule on one integer tableau that Edmonds' exact
+division keeps integral.  No floating point and no modular arithmetic.
 """
 
 from __future__ import annotations
@@ -63,60 +64,52 @@ def rational_rank(
 
 
 def homogeneous_feasible(
-    equalities: Sequence[Sequence[Fraction | int]],
-    strict: Sequence[Sequence[Fraction | int]],
+    equalities: Sequence[Sequence[int]],
+    strict: Sequence[Sequence[int]],
 ) -> bool:
     """Does some rational w satisfy e.w == 0 for all e and s.w < 0 for all s?
 
-    Equalities are substituted away, turning each strict row s into s'.  By
-    Motzkin's alternative the system is infeasible exactly when some
-    lambda >= 0 with sum(lambda) == 1 has sum(lambda_s * s') == 0.  Phase one
-    of the simplex method decides that, exactly over Fraction: one
-    artificial variable per constraint starts basic, and the system is
-    infeasible exactly when their sum can be driven to 0.  Bland's rule
-    (lowest entering index, ratio ties to the lowest basic index) never
-    cycles, so each call terminates.
+    By Motzkin's alternative it does not exactly when some lambda >= 0 with
+    sum(lambda) == 1 and some free mu give sum(lambda_s s) + sum(mu_e e) == 0;
+    each equality is two columns, e and -e, so its mu takes either sign.
+    Phase one of the simplex method decides that on one integer tableau, with
+    one artificial variable per row basic at the start.  Each pivot divides
+    exactly by the one before (Edmonds' integer-preserving elimination), so
+    the tableau is the true one times the last pivot, which stays positive.
+    Bland's rule (lowest entering index, ratio ties to the lowest basic index)
+    never cycles, so each call terminates.  Entries must be ints.
     """
-    if len({len(r) for r in [*equalities, *strict]}) > 1:
+    rows = [*equalities, *strict]
+    if len({len(r) for r in rows}) > 1:
         raise ValueError("constraint rows of mixed dimension")
-    pivots: list[tuple[int, list[Fraction]]] = []
-
-    def substitute(row: Sequence[Fraction | int]) -> list[Fraction]:
-        row = [Fraction(v) for v in row]
-        for c, prow in pivots:
-            row = [v - row[c] * p for v, p in zip(row, prow)]
-        return row
-
-    # map is lazy: each equality is reduced by the pivots of those before it.
-    for row in map(substitute, equalities):
-        c = next((c for c, v in enumerate(row) if v), None)
-        if c is not None:
-            pivots.append((c, [v / row[c] for v in row]))
-    rows = [substitute(row) for row in strict]
-
-    # One row per column some s' touches, then sum(lambda) == 1; each ends in
-    # its right-hand side.  Artificial i is basic variable m + i and, once it
-    # leaves the basis, is never needed again, so it has no column.
-    m = len(rows)
-    table = [[*col, Fraction(0)] for col in zip(*rows) if any(col)]
-    table.append([Fraction(1)] * (m + 1))
-    basis = list(range(m, m + len(table)))
-    # The lambdas' reduced costs, then minus the artificials' sum.
+    if any(type(v) is not int for r in rows for v in r):
+        raise ValueError("constraint entries must be ints")
+    # One row per coordinate some column touches, then sum(lambda) == 1, each
+    # ending in its right-hand side, and the cost row: the reduced costs, then
+    # minus the artificials' sum.  Artificial i is basic variable n + i and,
+    # once it leaves the basis, is never needed again, so it has no column.
+    cols = [*strict, *equalities, *([-v for v in e] for e in equalities)]
+    m, n = len(strict), len(cols)
+    table = [[*row, 0] for row in zip(*cols) if any(row)]
+    table.append([1] * m + [0] * (n - m) + [1])
+    basis = list(range(n, n + len(table)))
     cost = [-sum(col) for col in zip(*table)]
-    while cost[m]:
-        enter = next((j for j in range(m) if cost[j] < 0), None)
+    last = 1
+    while cost[n]:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             return True  # the artificials' least sum is positive
-        _, _, p = min(
-            (row[m] / row[enter], basis[i], i)
-            for i, row in enumerate(table)
-            if row[enter] > 0
-        )
-        prow = table[p]
-        prow[:] = [v / prow[enter] for v in prow]
+        p = None  # the least ratio row[n] / row[enter], by cross-multiplying
+        for i, row in enumerate(table):
+            if row[enter] > 0 and (
+                p is None
+                or (row[n] * table[p][enter], basis[i]) < (table[p][n] * row[enter], basis[p])
+            ):
+                p = i
+        prow, piv = table[p], table[p][enter]
         for row in [*table, cost]:
-            if row is not prow and row[enter]:
+            if row is not prow:
                 f = row[enter]
-                row[:] = [v - f * pv for v, pv in zip(row, prow)]
-        basis[p] = enter
+                row[:] = [(piv * v - f * pv) // last for v, pv in zip(row, prow)]
+        basis[p], last = enter, piv
     return False

@@ -313,10 +313,13 @@ def _kernel_and_flatness(
     return slices, _flatness(k, n, sizes)
 
 
+def _index_label(indices: tuple[int, ...]) -> str:
+    """The indices joined directly when each is 1..9, else joined by '-'."""
+    return ("" if all(1 <= c <= 9 for c in indices) else "-").join(map(str, indices))
+
+
 def plucker_variable_name(subset: Subset) -> str:
-    if all(1 <= c <= 9 for c in subset):
-        return "p" + "".join(str(c) for c in subset)
-    return "p" + "-".join(str(c) for c in subset)
+    return "p" + _index_label(subset)
 
 
 def _plucker_names(pmap: PluckerMap) -> list[str]:

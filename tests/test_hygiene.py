@@ -118,3 +118,41 @@ def test_all_is_the_version_and_each_import_once():
     exported = matchfields.__all__
     assert len(set(exported)) == len(exported)
     assert sorted(exported) == sorted(["__version__", *imported])
+
+
+def test_no_floating_point_in_the_package():
+    """No verdict may rest on floating point: no float or complex literal, no
+    float, complex or round call, math only for its integer functions, and
+    every true division has a Fraction(...) call as an operand."""
+    integer_math = {"comb", "factorial", "gcd", "isqrt", "lcm", "prod"}
+
+    def is_call_to(node, names):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in names
+        )
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where} literal {node.value!r}")
+            elif is_call_to(node, {"float", "complex", "round"}):
+                found.append(f"{where} call to {node.func.id}")
+            elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+                found.append(f"{where} import math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{where} from math import {a.name}"
+                    for a in node.names
+                    if a.name not in integer_math
+                ]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                if not any(is_call_to(side, {"Fraction"}) for side in (node.left, node.right)):
+                    found.append(f"{where} true division")
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                if not is_call_to(node.value, {"Fraction"}):
+                    found.append(f"{where} true division")
+    assert found == []

@@ -5,13 +5,16 @@ tests/data/supports_golden.json pins what the engine before the simplex
 monomial reprs, of four polynomials, and its verdicts on 600 seeded random
 systems (dimension 1-6, up to 3 equalities and 6 strict rows, entries in
 [-2, 2], drawn from random.Random(1)).  The other checks need no reference
-engine: the supports of f are the nonempty faces of its Newton polytope, so
-their Euler-Poincare sum is 1, and every weight picks out one of them.
+engine: systems built around a planted solution are feasible, and a planted
+contradiction makes them infeasible; the supports of f are the nonempty faces
+of its Newton polytope, so their Euler-Poincare sum is 1, and every weight
+picks out one of them.
 """
 
 import functools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,52 @@ def test_engine_edge_cases():
     assert not homogeneous_feasible([[1, 1, 0]], [[-1, 0, 0], [0, -1, 0]])
     with pytest.raises(ValueError, match="mixed dimension"):
         homogeneous_feasible([[1, 0]], [[1]])
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, True])
+def test_engine_refuses_entries_that_are_not_ints(entry):
+    with pytest.raises(ValueError, match="ints"):
+        homogeneous_feasible([[1, entry]], [[-1, 0]])
+    with pytest.raises(ValueError, match="ints"):
+        homogeneous_feasible([], [[-1, 0], [0, entry]])
+
+
+def planted_system(rng):
+    """Equalities and strict rows that a seeded integer w satisfies.
+
+    Each equality is (w.w) r - (r.w) w, which w puts at 0, and each strict row
+    is a drawn r with r.w < 0."""
+    dim = rng.randint(1, 8)
+    w = [0] * dim
+    while not any(w):
+        w = [rng.randint(-1000, 1000) for _ in range(dim)]
+
+    def dot(r):
+        return sum(a * b for a, b in zip(r, w))
+
+    equalities = []
+    for _ in range(rng.randint(1, 4)):
+        r = [rng.randint(-1000, 1000) for _ in range(dim)]
+        equalities.append([dot(w) * a - dot(r) * b for a, b in zip(r, w)])
+    strict, count = [], rng.randint(2, 8)
+    while len(strict) < count:
+        r = [rng.randint(-1000, 1000) for _ in range(dim)]
+        if dot(r):
+            strict.append(r if dot(r) < 0 else [-a for a in r])
+    return equalities, strict
+
+
+def test_engine_finds_planted_solutions_and_planted_contradictions():
+    """Each planted system is feasible.  The strict row -(s1 + s2) + e1 makes
+    it infeasible: s1 + s2 plus that row is e1, which is 0 wherever the
+    equalities hold, yet a sum of three negatives."""
+    rng = random.Random(25)
+    for _ in range(300):
+        equalities, strict = planted_system(rng)
+        assert homogeneous_feasible(equalities, strict), (equalities, strict)
+        (s1, s2, *_), e1 = strict, equalities[0]
+        blocker = [c - a - b for a, b, c in zip(s1, s2, e1)]
+        assert not homogeneous_feasible(equalities, [*strict, blocker]), (equalities, strict)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["supports"]))
