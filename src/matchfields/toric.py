@@ -13,7 +13,9 @@ packed into one int, with fields wide enough that a product of d images
 never carries, so the code of a product is the sum of its factors' codes
 and equal codes mean equal images.  Lower degrees reach the binomials
 m u - m' u of a fibre, whose sides share a Pluecker variable u (m - m' is in
-the kernel too), and no others: new generators need no lower fibres.
+the kernel too), and no others: new generators need no lower fibres.  Each
+fibre keeps its one member or else its classes (members joined by shared
+variables), and its members only for binomials that are built.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .matching import BlockStructure, generator_triples
 Subset = tuple[int, ...]
 Exponents = tuple[int, ...]
 Combo = tuple[int, ...]
+Held = Combo | int | list[int]  # a fibre's one member, or its classes
+Members = dict[int, list[Combo]]
 
 
 @dataclass(frozen=True)
@@ -112,24 +116,53 @@ def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
     return [layout.pack(m) for m in pmap.images]
 
 
-def _fibres(pmap: PluckerMap, d: int, budget: int) -> dict[int, list[Combo]]:
-    """The degree-d Pluecker monomials grouped by image code.
+def _fibres(
+    pmap: PluckerMap, d: int, budget: int, max_binomials: Optional[int]
+) -> tuple[dict[int, Held], Optional[Members]]:
+    """The degree-d Pluecker monomials grouped by image code, in one pass.
 
-    A member is the sorted tuple of its factors' variable indices.  Members
-    come in combinations_with_replacement order, which is descending order
-    of their exponent tuples, so the last member of a fibre is its least.
+    A member is the sorted tuple of its factors' variable indices.  A code
+    holds its fibre's one member until a second arrives, then the fibre's
+    classes: the support bitmasks of members joined as their supports meet,
+    an int for one class and a list for several.  The members of larger
+    fibres are kept too while the non-root members (members less fibres)
+    number at most max_binomials (always when it is None), then dropped for
+    good.  Members come in combinations_with_replacement order, which is
+    descending order of their exponent tuples, so a fibre's last is its least.
     """
     s = len(pmap.source)
     _check_slice_budget(s, d, budget)
     codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
-    fibres: dict[int, list[Combo]] = {}
+    bits = [1 << i for i in range(s)]
+    fibres: dict[int, Held] = {}
+    members: Optional[Members] = {}
+    extra = 0
     for combo, code in zip(combinations_with_replacement(range(s), d), codes):
-        fibre = fibres.get(code)
-        if fibre is None:
-            fibres[code] = [combo]
-        else:
-            fibre.append(combo)
-    return fibres
+        held = fibres.get(code)
+        if held is None:
+            fibres[code] = combo
+            continue
+        extra += 1
+        if max_binomials is not None and extra > max_binomials:
+            members = None
+        if members is not None:
+            members.setdefault(code, [held]).append(combo)
+        if type(held) is tuple:
+            first = 0
+            for i in held:
+                first |= bits[i]
+            held = first
+        support = 0
+        for i in combo:
+            support |= bits[i]
+        apart = []
+        for c in held if type(held) is list else (held,):
+            if c & support:
+                support |= c
+            else:
+                apart.append(c)
+        fibres[code] = apart + [support] if apart else support
+    return fibres, members
 
 
 def _check_slice_budget(s: int, d: int, budget: int) -> None:
@@ -149,23 +182,20 @@ def _exponents(combo: Combo, s: int) -> Exponents:
     return tuple(e)
 
 
-def _spanning_binomials(
-    fibres: dict[int, list[Combo]], s: int
-) -> list[tuple[Exponents, Exponents]]:
+def _spanning_binomials(members: Members, s: int) -> list[tuple[Exponents, Exponents]]:
     """One binomial (other - root) per non-root member of each fibre.
 
     The root is the fibre's least exponent tuple; fibres come in ascending
     order of their roots, and the others of a fibre in ascending order.
     """
     out = []
-    shared = (f for f in fibres.values() if len(f) > 1)
-    for members in sorted(shared, key=lambda f: f[-1], reverse=True):
-        root = _exponents(members[-1], s)
-        out.extend((_exponents(other, s), root) for other in reversed(members[:-1]))
+    for fibre in sorted(members.values(), key=lambda f: f[-1], reverse=True):
+        root = _exponents(fibre[-1], s)
+        out.extend((_exponents(other, s), root) for other in reversed(fibre[:-1]))
     return out
 
 
-def _new_generators(fibres: dict[int, list[Combo]]) -> int:
+def _new_generators(fibres: dict[int, Held]) -> int:
     """The dimension of the degree-d slice that lower degrees do not reach.
 
     Lower degrees reach K_{d-1} * S_1, since K_{d2} * S_{d-1-d2} lies in
@@ -174,26 +204,9 @@ def _new_generators(fibres: dict[int, list[Combo]]) -> int:
     m u and m' u of a fibre are joined so, for m and m' have equal images
     too.  With c_F classes in a fibre F, members joining when their
     supports meet, the rank is sum (|F| - c_F), exact over Q, and what is
-    new is sum (c_F - 1).  A class is the bitmask of its members'
-    variables, and each member absorbs every class it meets.
+    new is sum (c_F - 1): only a fibre that holds a list of classes adds.
     """
-    new = 0
-    for members in (f for f in fibres.values() if len(f) > 1):
-        classes: list[int] = []
-        for combo in members:
-            support = 0
-            for i in combo:
-                support |= 1 << i
-            apart = []
-            for c in classes:
-                if c & support:
-                    support |= c
-                else:
-                    apart.append(c)
-            apart.append(support)
-            classes = apart
-        new += len(classes) - 1
-    return new
+    return sum(len(c) - 1 for c in fibres.values() if type(c) is list)
 
 
 @dataclass(frozen=True)
@@ -219,29 +232,20 @@ class KernelSlice:
 def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice:
     if type(d) is not int or d < 1:
         raise ValueError(f"degree must be an integer of at least 1, got {d!r}")
-    return _slice(pmap, d, _fibres(pmap, d, budget))
+    return _slice(pmap, d, *_fibres(pmap, d, budget, None))
 
 
 def _slice(
-    pmap: PluckerMap,
-    d: int,
-    fibres: dict[int, list[Combo]],
-    max_binomials: Optional[int] = None,
+    pmap: PluckerMap, d: int, fibres: dict[int, Held], members: Optional[Members]
 ) -> KernelSlice:
     """The degree-d slice from the degree-d fibres alone: lower degrees join
-    two members of a fibre exactly when they share a Pluecker variable.
-
-    The spanning binomials are built unless there are more than
-    max_binomials of them; there are exactly dimension many, one per
-    non-root fibre member, so that is known before any is built.
-    """
+    two members of a fibre exactly when they share a Pluecker variable.  The
+    binomials are built when _fibres kept the members, and are None if not."""
     s = len(pmap.source)
-    dimension = comb(s + d - 1, d) - len(fibres)
-    build = max_binomials is None or dimension <= max_binomials
     return KernelSlice(
         degree=d,
-        dimension=dimension,
-        binomials=tuple(_spanning_binomials(fibres, s)) if build else None,
+        dimension=comb(s + d - 1, d) - len(fibres),
+        binomials=None if members is None else tuple(_spanning_binomials(members, s)),
         new_minimal_generators=_new_generators(fibres),
     )
 
@@ -283,7 +287,7 @@ def flatness_check(
     every degree <= dmax, a finite check."""
     if type(dmax) is not int or dmax < 0:
         raise ValueError(f"dmax must be a nonnegative integer, got {dmax!r}")
-    sizes = (len(_fibres(pmap, d, budget)) if d else 1 for d in range(dmax + 1))
+    sizes = (len(_fibres(pmap, d, budget, 0)[0]) if d else 1 for d in range(dmax + 1))
     return _flatness(k, n, sizes)
 
 
@@ -294,12 +298,7 @@ def _flatness(k: int, n: int, sizes: Iterable[int]) -> FlatnessReport:
 
 
 def _kernel_and_flatness(
-    pmap: PluckerMap,
-    k: int,
-    n: int,
-    dmax: int,
-    budget: int,
-    max_binomials: Optional[int],
+    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int, max_binomials: Optional[int]
 ) -> tuple[list[KernelSlice], FlatnessReport]:
     """kernel_slice for d = 1..dmax and flatness_check to dmax, building
     each degree's fibres once, and the binomials of a slice only when it
@@ -307,8 +306,8 @@ def _kernel_and_flatness(
     slices = []
     sizes = [1]
     for d in range(1, dmax + 1):
-        fibres = _fibres(pmap, d, budget)
-        slices.append(_slice(pmap, d, fibres, max_binomials))
+        fibres, members = _fibres(pmap, d, budget, max_binomials)
+        slices.append(_slice(pmap, d, fibres, members))
         sizes.append(len(fibres))
     return slices, _flatness(k, n, sizes)
 

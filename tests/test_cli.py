@@ -358,9 +358,9 @@ def test_kernel_builds_each_degree_once(capsys, monkeypatch):
     calls = []
     fibres = toric._fibres
 
-    def counted(pmap, d, budget):
+    def counted(pmap, d, budget, max_binomials):
         calls.append(d)
-        return fibres(pmap, d, budget)
+        return fibres(pmap, d, budget, max_binomials)
 
     monkeypatch.setattr(toric, "_fibres", counted)
     code, _, _ = run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")
@@ -613,3 +613,38 @@ def test_fuzzed_arguments_exit_cleanly(capsys, seed):
         err = capsys.readouterr().err
         assert "Traceback" not in err, argv
     assert {0, 2} <= codes
+
+
+KERNEL_GOLDEN = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
+
+
+def test_kernel_golden_cases_are_the_seeded_draw():
+    want = list(all_compositions(7)) + random.Random(1).sample(list(all_compositions(8)), 8)
+    assert [tuple(case["parts"]) for case in KERNEL_GOLDEN["cases"]] == want
+
+
+def test_kernel_matches_the_golden_file(capsys):
+    """Per degree to 3: the dimensions, new generators and flatness rows that
+    the fibre lists, kept member by member, gave."""
+    for case in KERNEL_GOLDEN["cases"]:
+        blocks = ",".join(map(str, case["parts"]))
+        code, out, _ = run(capsys, "kernel", "--blocks", blocks, "--dmax", "3", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        got = {
+            "parts": case["parts"],
+            "dimension": [e["dimension"] for e in result["slices"]],
+            "new_minimal_generators": [e["new_minimal_generators"] for e in result["slices"]],
+            "flatness_rows": result["flatness_rows"],
+        }
+        assert got == case, blocks
+
+
+@pytest.mark.slow
+def test_kernel_n10_to_degree_three(capsys):
+    code, out, _ = run(capsys, "kernel", "--n", "10", "--dmax", "3", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    dims = [e["dimension"] for e in result["slices"]]
+    assert dims == [comb(119 + d, d) - hilbert_dim_rect(3, 10, d) for d in (1, 2, 3)]
+    assert result["flatness_ok"] is True

@@ -1,0 +1,63 @@
+"""Committed mutants: deliberate faults that named tests must catch.
+
+tests/data/mutants.json lists each mutant: a file of src/, an anchor text
+that occurs exactly once in it, the text that replaces the anchor, and the
+tests that must fail once it is replaced.  The tier-1 checks keep every
+anchor in place, so a refactor that moves the code must move its mutant
+too.  The slow runner copies src/ to a temporary directory, applies one
+mutant there and runs the named tests against the copy: pytest must exit 1
+(tests ran and failed), not 0, not 2 or more (a collection or usage error),
+and not by the timeout.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MUTANTS = json.loads((ROOT / "tests" / "data" / "mutants.json").read_text())["mutants"]
+
+
+def test_every_anchor_occurs_once_in_src():
+    for mutant in MUTANTS:
+        assert mutant["file"].startswith("src/"), mutant["id"]
+        text = (ROOT / mutant["file"]).read_text()
+        assert text.count(mutant["anchor"]) == 1, mutant["id"]
+        assert mutant["replacement"] != mutant["anchor"], mutant["id"]
+
+
+def test_the_mutants_cover_the_checked_modules_and_name_real_tests():
+    ids = [mutant["id"] for mutant in MUTANTS]
+    assert len(set(ids)) == len(ids) >= 15
+    stems = {Path(mutant["file"]).stem for mutant in MUTANTS}
+    assert stems >= {"groebner", "resolution", "linalg", "toric", "cellular", "cli"}
+    for mutant in MUTANTS:
+        assert mutant["tests"], mutant["id"]
+        for test in mutant["tests"]:
+            path, _, name = test.partition("::")
+            assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text(), test
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[mutant["id"] for mutant in MUTANTS])
+def test_the_named_tests_kill_the_mutant(mutant, tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = tmp_path / mutant["file"]
+    target.write_text(target.read_text().replace(mutant["anchor"], mutant["replacement"]))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import matchfields; print(matchfields.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert where.stdout.strip() == str(src / "matchfields" / "__init__.py"), where.stderr
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant["tests"]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout[-3000:] + run.stderr[-3000:]

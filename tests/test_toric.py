@@ -1,6 +1,7 @@
 """Pluecker monomial maps, kernel slices, and Hilbert-function flatness."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -375,9 +376,9 @@ def test_kernel_slice_builds_only_its_own_degree(monkeypatch):
     built = []
     fibres = toric._fibres
 
-    def counting(pmap, d, budget):
+    def counting(pmap, d, budget, max_binomials):
         built.append(d)
-        return fibres(pmap, d, budget)
+        return fibres(pmap, d, budget, max_binomials)
 
     monkeypatch.setattr(toric, "_fibres", counting)
     kernel_slice(plucker_map_from_matching_field(BlockStructure((2, 3))), 3)
@@ -390,3 +391,67 @@ def test_repeated_power_map_is_exercised():
     assert [ks.dimension for ks in slices] == [1, 6, 21, 58]
     assert [ks.new_minimal_generators for ks in slices] == [1, 0, 0, 2]
 
+
+
+def weighted_map(weights):
+    """The map p_i -> x1^w for the i-th weight w: members of a fibre are the
+    index multisets of one weight sum."""
+    images = tuple(Monomial(1, {xvar(1): w}) for w in weights)
+    return PluckerMap(tuple((i,) for i in range(1, len(weights) + 1)), images)
+
+
+def test_a_third_member_joins_two_classes_that_were_apart():
+    # Weight 10 in degree 3: p1*p3*p4 and p2^2*p5 share no variable, and
+    # p2*p3^2, which arrives last, meets both.
+    pm = weighted_map((1, 2, 4, 5, 6))
+    codes = toric._image_codes(pm, 3)
+    members = [(0, 2, 3), (1, 1, 4), (1, 2, 2)]
+    assert {sum(codes[i] for i in m) for m in members} == {codes[0] + codes[2] + codes[3]}
+    fibres, kept = toric._fibres(pm, 3, 1000, None)
+    assert kept[codes[0] + codes[2] + codes[3]] == members
+    assert fibres[codes[0] + codes[2] + codes[3]] == 0b11111
+    assert kernel_slice(pm, 3) == reference_kernel_slice(pm, 3)
+
+
+def test_members_that_meet_no_class_stay_apart():
+    # Weight 7 in degree 2: p1*p6, p2*p5 and p3*p4, pairwise apart.
+    pm = weighted_map((1, 2, 3, 4, 5, 6))
+    codes = toric._image_codes(pm, 2)
+    fibres, _ = toric._fibres(pm, 2, 1000, None)
+    assert sorted(fibres[codes[0] + codes[5]]) == [0b001100, 0b010010, 0b100001]
+    assert fibres[codes[0] + codes[0]] == (0, 0)
+    ks = kernel_slice(pm, 2)
+    assert ks == reference_kernel_slice(pm, 2)
+    assert ks.new_minimal_generators == ks.dimension
+
+
+def test_members_are_kept_while_non_roots_number_at_most_max_binomials():
+    pm = plucker_map_from_matching_field(BlockStructure((3, 2)))
+    s, d = len(pm.source), 2
+    # Every non-root member arrives before the last fibre opens, so a count
+    # taken at each arrival, not only at the end, decides the cutoff.
+    codes = toric._image_codes(pm, d)
+    sums = [sum(codes[i] for i in m) for m in combinations_with_replacement(range(s), d)]
+    opens = [i for i, code in enumerate(sums) if code not in sums[:i]]
+    joins = [i for i in range(len(sums)) if i not in opens]
+    assert joins and max(joins) < max(opens)
+    full = kernel_slice(pm, d)
+    assert full.dimension == len(joins) == 5
+    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, 500_000, full.dimension)
+    assert slices[-1] == full
+    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, 500_000, full.dimension - 1)
+    assert slices[-1].binomials is None
+    assert slices[-1].dimension == full.dimension
+    assert toric._fibres(pm, d, 500_000, 0)[1] is None
+
+
+def test_kernel_memory_peak_on_three_three_two():
+    pm = plucker_map_from_matching_field(BlockStructure((3, 3, 2)))
+    tracemalloc.start()
+    try:
+        slices, flat = toric._kernel_and_flatness(pm, 3, 8, 3, 500_000, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [ks.dimension for ks in slices] == [0, 420, 16744] and flat.ok
+    assert peak < 2.5 * 2**20, peak
