@@ -81,8 +81,15 @@ class _Packing(Layout):
         return [self.field - c for c in super().exponents(p)[:-2]]
 
     def support(self, p: int) -> int:
-        """Bit i is set when the variable at precedence position i occurs."""
-        return sum(1 << i for i, e in enumerate(self.exponents(p)) if e)
+        """Bit i is set when the variable at precedence position i occurs.
+        A field of 2 * one - (p & exp_mask) holds field + e, whose guard bit
+        is set exactly when e >= 1; only those bits are walked."""
+        occurs, out = (2 * self.one - (p & self.exp_mask)) & self.guards, 0
+        while occurs:
+            low = occurs & -occurs
+            out |= 1 << (low.bit_length() - 1) // self.width
+            occurs ^= low
+        return out
 
     def lcm(self, a: int, b: int, common: int) -> int:
         """Packed lcm of packed a and b; common is the intersection of their
@@ -243,11 +250,14 @@ def is_groebner(
     leading monomials are coprime (the product criterion), or a third
     leading monomial lm_k divides its lcm while the pairs (i, k) and (j, k)
     are already settled (the chain criterion, Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, ch. 2 sec. 10).  A pair settles when it is
-    skipped or reduces to zero, never when it leaves a residual.  Disable
-    the option to force every reduction.  The budget caps the cancellation
-    steps of the whole pass; a blown budget raises BudgetExceededError
-    rather than returning False.
+    Varieties, and Algorithms, ch. 2 sec. 10).  Per-variable bitsets of the
+    leads first drop the candidates lm_k with a variable outside supp(lcm);
+    the exact divisibility test still runs on the rest, so the basis need
+    not be squarefree.  A pair settles when it is skipped or reduces to
+    zero, never when it leaves a residual.  Disable the option to force
+    every reduction.  The budget caps the cancellation steps of the whole
+    pass; a blown budget raises BudgetExceededError rather than returning
+    False.
     """
     # An lcm of two leading monomials weighs at most the sum of their weights.
     packing = _Packing(order, 2 * _max_weight(basis, order))
@@ -279,9 +289,23 @@ def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
 
     guards, exp_mask = packing.guards, packing.exp_mask
     guarded = [p | guards for p in leads]
+    # has[v]: the leads that contain the variable at precedence position v.
+    # A lead with a variable outside supp(lcm) cannot divide the lcm.
+    has = [
+        sum(1 << k for k, sup in enumerate(supports) if sup >> v & 1) for v in range(3 * packing.n)
+    ]
+    everywhere = (1 << len(has)) - 1
     witness = None
     for _, l, i, j in pairs:
         chain = settled[i] & settled[j] if use_coprime_criterion else 0
+        outside = everywhere ^ (supports[i] | supports[j])
+        # Clearing has[v] costs a step per outside variable and the exact
+        # test a step per lead, so the prefilter runs only when it is cheaper.
+        if chain.bit_count() > outside.bit_count():
+            while outside and chain:
+                low = outside & -outside
+                chain &= ~has[low.bit_length() - 1]
+                outside ^= low
         t = l & exp_mask
         while chain:
             low = chain & -chain

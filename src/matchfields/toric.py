@@ -287,7 +287,11 @@ def flatness_check(
     every degree <= dmax, a finite check."""
     if type(dmax) is not int or dmax < 0:
         raise ValueError(f"dmax must be a nonnegative integer, got {dmax!r}")
-    sizes = (len(_fibres(pmap, d, budget, 0)[0]) if d else 1 for d in range(dmax + 1))
+    # Only the number of distinct images counts, so no fibre is built.
+    sizes = [1]
+    for d in range(1, dmax + 1):
+        _check_slice_budget(len(pmap.source), d, budget)
+        sizes.append(len(set(map(sum, combinations_with_replacement(_image_codes(pmap, d), d)))))
     return _flatness(k, n, sizes)
 
 

@@ -5,18 +5,23 @@ import random
 from matchfields import Monomial, Polynomial, xvar, yvar
 
 
+def composition(n, cuts):
+    """The composition of n that is cut after its (i + 1)-th unit wherever
+    bit i of cuts is set."""
+    parts, last = [], 1
+    for i in range(n - 1):
+        if cuts >> i & 1:
+            parts.append(last)
+            last = 1
+        else:
+            last += 1
+    parts.append(last)
+    return tuple(parts)
+
+
 def all_compositions(n):
     """Every composition of n, in the order of the bitmask of its cuts."""
-    for bits in range(1 << (n - 1)):
-        parts, last = [], 1
-        for i in range(n - 1):
-            if bits >> i & 1:
-                parts.append(last)
-                last = 1
-            else:
-                last += 1
-        parts.append(last)
-        yield tuple(parts)
+    return (composition(n, cuts) for cuts in range(1 << (n - 1)))
 
 
 def recipe_polynomial(m):

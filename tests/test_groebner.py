@@ -35,7 +35,7 @@ from matchfields import (
 )
 from itertools import combinations
 
-from helpers import all_compositions
+from helpers import all_compositions, composition
 
 
 def _unit_order(n):
@@ -361,6 +361,92 @@ def test_pair_criteria_save_budget():
     assert verify_theorem_main(a, budget=30).ok
     with pytest.raises(BudgetExceededError):
         verify_theorem_main(a, budget=30, use_coprime_criterion=False)
+
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_verify_takes_six_division_steps_per_four_columns(n):
+    """On every composition and w0 the pass over the minors takes exactly
+    6 * C(n, 4) division steps.  A prefilter that drops a divisor of some lcm
+    from the chain criterion keeps every verdict but sends more pairs to the
+    division, so it shows here as a blown budget."""
+    steps, pairs = 6 * comb(n, 4), comb(comb(n, 3), 2)
+    for parts in all_compositions(n):
+        a = BlockStructure(parts)
+        for w0 in (1, 2, 3):
+            rep = verify_theorem_main(a, w0, budget=steps)
+            assert rep.ok and rep.s_pairs_reduced_to_zero == pairs, (parts, w0)
+            if steps:
+                with pytest.raises(BudgetExceededError):
+                    verify_theorem_main(a, w0, budget=steps - 1)
+
+
+@pytest.mark.slow
+def test_verify_proves_n20():
+    rng = random.Random(20)
+    for parts, w0 in [((20,), 1), (composition(20, rng.getrandbits(19)), rng.choice((1, 2, 3)))]:
+        rep = verify_theorem_main(BlockStructure(parts), w0)
+        assert rep.ok, (parts, w0, rep.failures)
+        assert rep.s_pairs_total == rep.s_pairs_reduced_to_zero == comb(comb(20, 3), 2) == 649_230
+
+
+def test_support_equals_the_exponent_definition_on_non_squarefree_monomials():
+    """_Packing.support reads the guard bits; bit i must be set exactly when
+    the variable at precedence position i has a positive exponent, up to an
+    exponent as large as the packing bound."""
+    rng = random.Random(27)
+    squarefree = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        variables = [VariableId(fam, i) for fam in "xyz" for i in range(1, n + 1)]
+        precedence = rng.sample(variables, len(variables))
+        weights = {v: rng.choice([1, 1, 2, 3]) for v in variables}
+        bound = rng.choice([1, 2, 3, 7, 8, 15, 31])
+        packing = groebner._Packing(WeightOrder(n, weights, precedence), bound)
+        exponents, left = {}, bound
+        for v in rng.sample(variables, rng.randint(0, len(variables))):
+            e = rng.randint(0, left // weights[v])
+            if e:
+                exponents[v] = e
+                left -= e * weights[v]
+        m = Monomial(n, exponents)
+        want = sum(1 << i for i, v in enumerate(precedence) if m.exponent(v))
+        assert packing.support(packing.pack(m)) == want, (m, bound)
+        squarefree += all(e == 1 for _, e in m.items())
+    assert squarefree < 1500
+    # Each variable alone at the packing bound, where its field holds 0.
+    order = _unit_order(2)
+    for bound in (1, 7, 8):
+        packing = groebner._Packing(order, bound)
+        for i, v in enumerate(order.precedence):
+            p = packing.pack(Monomial(2, {v: bound}))
+            assert packing.exponents(p)[i] == bound and packing.support(p) == 1 << i
+
+
+def test_the_exact_test_rejects_a_settled_lead_inside_the_lcm_support():
+    """z1^2 is settled with both x1*y1 and y1*z1 when their pair comes up,
+    and its support lies inside that of their lcm x1*y1*z1, so the
+    per-variable prefilter keeps it while it drops the leads x2, y2 and z2.
+    It does not divide the lcm, so the exact test must reject it: the pair
+    goes to the division and leaves the residual -x1*z1."""
+    n = 2
+    precedence = [VariableId(fam, i) for fam in "xyz" for i in (1, 2)]
+    weights = dict.fromkeys(precedence, 1)
+    weights[xvar(1)] = 3
+    order = WeightOrder(n, weights, precedence)
+    x1, y1, z1, x2, y2, z2 = (Monomial.of(n, v) for v in precedence)
+    basis = [
+        Polynomial.from_terms(n, [(1, x1 * y1), (-1, x1)]),
+        Polynomial.from_terms(n, [(1, y1 * z1)]),
+        Polynomial.from_terms(n, [(1, z1 * z1)]),
+        *(Polynomial.from_terms(n, [(1, m)]) for m in (x2, y2, z2)),
+    ]
+    lcm = (x1 * y1).lcm(y1 * z1)
+    assert set((z1 * z1).variables()) <= set(lcm.variables()) and not (z1 * z1).divides(lcm)
+    check = is_groebner(basis, order)
+    assert not check.ok and not is_groebner(basis, order, use_coprime_criterion=False).ok
+    assert check.witness == (0, 1, Polynomial.from_terms(n, [(-1, x1 * z1)]))
+    assert check.s_pairs_reduced_to_zero == check.s_pairs_total - 1
 
 
 # Each composition and w0 under two orders that break the theorem: all

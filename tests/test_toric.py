@@ -1,9 +1,11 @@
 """Pluecker monomial maps, kernel slices, and Hilbert-function flatness."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,17 @@ def test_shared_slices_equal_kernel_slice_and_flatness_check():
         slices, flat = toric._kernel_and_flatness(pm, 2, 5, 4, 500_000, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3, 4)], i
         assert flat == flatness_check(pm, 2, 5, 4), i
+
+
+def test_flatness_check_equals_the_golden_flatness_rows():
+    """flatness_check counts distinct image codes with no fibre built; its
+    rows must equal those the kernel subcommand pinned in the golden file."""
+    golden = json.loads((Path(__file__).parent / "data" / "kernel_golden.json").read_text())
+    for case in golden["cases"]:
+        parts = tuple(case["parts"])
+        pm = plucker_map_from_matching_field(BlockStructure(parts))
+        rep = flatness_check(pm, 3, sum(parts), 3)
+        assert [list(row) for row in rep.rows] == case["flatness_rows"], parts
 
 
 def test_flatness_fails_for_a_non_injective_map():
