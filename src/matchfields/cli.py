@@ -36,7 +36,9 @@ from .cellular import _cointerval_inputs, is_cointerval
 from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, _composition, sort_generators, weight_matrix
-from .resolution import betti_from_certificate, linear_quotients_certificate
+from .resolution import (
+    _colon_sets, _pack_triples, betti_from_variable_sets, linear_quotients_certificate
+)
 from .toric import (
     _check_slice_budget,
     _format_exponents,
@@ -68,6 +70,10 @@ MAX_VERIFY_MINORS = comb(20, 3)
 # has at n = 60: the output and the layer table grow as n^3.
 MAX_GENERATORS = comb(60, 3)
 
+# weights refuses more columns than this: its work and output grow linearly
+# in n, and --n 10000 takes about 0.3 s and 34 MiB as a process.
+MAX_WEIGHT_COLUMNS = 10_000
+
 
 class _Output:
     def __init__(self, ok: bool, input_dict: dict, result: dict, text: list[str], rows=None):
@@ -87,21 +93,23 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _parts(args, limit_name: Optional[str] = None, limit: int = 0) -> tuple[int, ...]:
+def _parts(
+    args, limit_name: Optional[str] = None, limit: int = 0, unit: str = "generators"
+) -> tuple[int, ...]:
     """The composition given by --blocks and --n, checked without building a
-    BlockStructure.  Given limit_name, refuse with TooLargeError a matching
-    ideal of more than limit generators; that reads only n = sum(parts), so
-    it runs before any column table or triple is built."""
+    BlockStructure.  Given limit_name, refuse with TooLargeError more than
+    limit generators of the matching ideal, or more than limit columns when
+    unit is "columns"; that reads only n = sum(parts), so it runs before any
+    column table or triple is built."""
     if args.blocks is None and args.n is None:
         raise ValueError("provide --blocks and/or --n")
     parts = _composition(_parse_blocks(args.blocks) if args.blocks is not None else (args.n,))
     n = sum(parts)
     if args.n is not None and n != args.n:
         raise ValueError(f"--n {args.n} contradicts --blocks summing to {n}")
-    if limit_name is not None and comb(n, 3) > limit:
-        raise TooLargeError(
-            f"{comb(n, 3)} generators exceeds the {args.command} limit {limit_name}={limit}"
-        )
+    count = n if unit == "columns" else comb(n, 3)
+    if limit_name is not None and count > limit:
+        raise TooLargeError(f"{count} {unit} exceeds the {args.command} limit {limit_name}={limit}")
     return parts
 
 
@@ -130,7 +138,7 @@ def _cmd_generators(args) -> _Output:
 
 
 def _cmd_weights(args) -> _Output:
-    a = BlockStructure(_parts(args))
+    a = BlockStructure(_parts(args, "MAX_WEIGHT_COLUMNS", MAX_WEIGHT_COLUMNS, "columns"))
     n = a.n
     order = weight_matrix(a, args.w0)
     by_family = {
@@ -193,15 +201,15 @@ def _cmd_verify(args) -> _Output:
 def _cmd_betti(args) -> _Output:
     a = BlockStructure(_parts(args, "MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS))
     n = a.n
-    ordered = [t.monomial(n) for t in sort_generators(a)]
-    cert = linear_quotients_certificate(ordered)
+    triples = sort_generators(a)
+    sets, failure = _colon_sets(*_pack_triples(triples, n))
     result = {
-        "linear_quotients": cert.is_linear,
-        "set_sizes": [len(s) for s in cert.sets],
+        "linear_quotients": failure is None,
+        "set_sizes": [len(s) for s in sets],
     }
     rows = None
-    if cert.is_linear:
-        table = betti_from_certificate(cert)
+    if failure is None:
+        table = betti_from_variable_sets(sets)
         result["betti"] = list(table)
         result["projective_dimension"] = len(table) - 1
         text = [
@@ -212,6 +220,7 @@ def _cmd_betti(args) -> _Output:
         ]
         rows = [["i", "betti_i"]] + [[i, b] for i, b in enumerate(table)]
     else:
+        cert = linear_quotients_certificate([t.monomial(n) for t in triples])
         j, q = cert.first_failure
         result["first_failure"] = {"position": j, "colon_generator": repr(q)}
         text = [
@@ -220,7 +229,7 @@ def _cmd_betti(args) -> _Output:
             f"  first failure at position {j}: colon generator {q!r}",
             "FAIL",
         ]
-    return _Output(cert.is_linear, _input_dict(a, None, None), result, text, rows)
+    return _Output(failure is None, _input_dict(a, None, None), result, text, rows)
 
 
 def _cmd_cointerval(args) -> _Output:
@@ -261,6 +270,13 @@ def _cmd_kernel(args) -> _Output:
     _at_least(args.budget, 0, "--budget")
     parts = _parts(args)
     plucker_count = comb(sum(parts), 3)
+    # At n = 3 each degree d has one monomial, a d-tuple, and no slice trips
+    # the budget; the tuples' total length dmax(dmax + 1)/2 must not either.
+    reads = args.dmax * (args.dmax + 1) // 2
+    if plucker_count == 1 and reads > args.budget:
+        raise TooLargeError(
+            f"degrees 1 to {args.dmax} read {reads} indices, over the budget of {args.budget}"
+        )
     for d in range(1, args.dmax + 1):
         _check_slice_budget(plucker_count, d, args.budget)
     a = BlockStructure(parts)
@@ -434,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="toric kernel of the Pluecker map")
     add_common(p)
     p.add_argument("--dmax", type=int, default=2, help="largest degree to inspect (default 2)")
-    p.add_argument("--budget", type=int, default=500_000, help="cap on monomials per degree")
+    p.add_argument(
+        "--budget", type=int, default=500_000,
+        help="cap on monomials per degree and, at n = 3, on dmax(dmax + 1)/2",
+    )
 
     p = sub.add_parser("supports", help="attainable initial supports of a quadric")
     p.add_argument(

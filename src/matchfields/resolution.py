@@ -26,8 +26,8 @@ from itertools import combinations
 from math import comb
 from typing import Collection, Iterable, Optional, Sequence
 
-from ._packed import pack_minimal
-from .algebra import Monomial, VariableId, xvar, yvar, zvar
+from ._packed import Layout, pack_minimal
+from .algebra import FAMILIES, Monomial, VariableId, xvar, yvar, zvar
 from .errors import NotLinearQuotientsError, TooLargeError
 from .linalg import rational_rank
 from .matching import GeneratorTriple, MonomialIdeal
@@ -92,18 +92,31 @@ class QuotientCertificate:
 def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertificate:
     """Check the linear-quotient property along the given ordering.
 
-    The generators are packed into ints (see _packed.pack_minimal).  The colon
-    <m_1..m_j> : m_{j+1} is generated by the quotients p / gcd(p, m_{j+1}),
-    each one saturating field-wise subtraction, and it is generated by
-    variables exactly when every quotient is divisible by a quotient of
-    degree 1.  At the first position where that fails, colon_by_monomial
-    supplies the witness: the first minimal colon generator of degree != 1.
+    _colon_sets runs the colons on the generators packed by pack_minimal.
+    At the first position whose colon is not generated by variables,
+    colon_by_monomial supplies the witness: the first minimal colon
+    generator of degree != 1.  The betti command packs its triples itself
+    and comes here only for that witness.
 
     Raises ValueError when the generators live over different ambient n, or
     when one of them repeats or divides another.
     """
     gens = tuple(ordered)
-    layout, packed = pack_minimal(gens)
+    sets, j = _colon_sets(*pack_minimal(gens))
+    if j is None:
+        return QuotientCertificate(ordered=gens, sets=sets, is_linear=True, first_failure=None)
+    q = next(q for q in colon_by_monomial(gens[:j], gens[j]).sorted_generators() if q.degree != 1)
+    return QuotientCertificate(ordered=gens, sets=sets, is_linear=False, first_failure=(j, q))
+
+
+def _colon_sets(
+    layout: Layout, packed: Sequence[int]
+) -> tuple[tuple[frozenset[VariableId], ...], Optional[int]]:
+    """The colon variable sets along packed, a minimal generating set, up to
+    the first colon not generated by variables, and its position (or None).
+    <m_1..m_j> : m_{j+1} is generated by the quotients p / gcd(p, m_{j+1}),
+    each a saturating field-wise subtraction, and by variables exactly when
+    every quotient is divisible by a quotient of degree 1."""
     units, field, monus = layout.units, layout.field, layout.monus
     sets: list[frozenset[VariableId]] = []
     for j, m in enumerate(packed):
@@ -118,26 +131,26 @@ def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertifi
                 variables.append(v)
                 covered |= q * field
         if not all(q & covered for q in others):
-            for q in colon_by_monomial(gens[:j], gens[j]).sorted_generators():
-                if q.degree != 1:
-                    return QuotientCertificate(
-                        ordered=gens,
-                        sets=tuple(sets),
-                        is_linear=False,
-                        first_failure=(j, q),
-                    )
+            return tuple(sets), j
         sets.append(frozenset(variables))
-    return QuotientCertificate(
-        ordered=gens, sets=tuple(sets), is_linear=True, first_failure=None
-    )
+    return tuple(sets), None
+
+
+def _pack_triples(triples: Iterable[GeneratorTriple], n: int) -> tuple[Layout, list[int]]:
+    """A Layout over the 3n variables and each triple packed in it as
+    x_x * y_y * z_z, the sum of its three units, with no Monomial built."""
+    layout = Layout([VariableId(f, c) for f in FAMILIES for c in range(1, n + 1)], 1)
+    x, y, z = ([1 << layout.offset[VariableId(f, c)] for c in range(1, n + 1)] for f in FAMILIES)
+    return layout, [x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
 
 
 def betti_from_variable_sets(sets: Sequence[frozenset[VariableId]]) -> BettiTable:
-    """Betti numbers from colon variable sets: beta_l = sum_j C(|sets[j]|, l)."""
+    """Betti numbers from colon variable sets: beta_l = sum_j C(|sets[j]|, l),
+    summed over the distinct sizes, each times the number of sets of that size."""
     if not sets:
         return BettiTable(())
-    top = max(len(s) for s in sets)
-    values = tuple(sum(comb(len(s), l) for s in sets) for l in range(top + 1))
+    sizes = Counter(map(len, sets))
+    values = tuple(sum(m * comb(k, l) for k, m in sizes.items()) for l in range(max(sizes) + 1))
     return BettiTable(values)
 
 

@@ -16,10 +16,14 @@ import pytest
 import matchfields.cellular as cellular
 import matchfields.cli as cli
 import matchfields.matching as matching
+import matchfields.resolution as resolution
 from matchfields import (
     BlockStructure,
+    GeneratorTriple,
+    Monomial,
     __version__,
     betti_diagonal_table,
+    betti_from_certificate,
     check_layer_containment,
     flatness_check,
     format_plucker_exponents,
@@ -27,9 +31,13 @@ from matchfields import (
     hilbert_dim_rect,
     is_cointerval,
     kernel_slice,
+    linear_quotients_certificate,
     plucker_map_from_matching_field,
     relabel_f,
+    sort_generators,
     toric,
+    yvar,
+    zvar,
 )
 from matchfields.cli import MAX_PRINTED_BINOMIALS, main
 
@@ -144,6 +152,83 @@ def test_betti_size_guard_is_on_by_default(capsys):
         assert f"{generators} generators" in err and "MAX_BETTI_GENERATORS=1140" in err
 
 
+def assert_betti_packs_the_triples_as_the_certificate_does(capsys, n):
+    """On every composition of n, the colon sets of the triples packed straight
+    into ints equal the certificate's on their Monomials, and betti prints the
+    certificate's sizes and Betti numbers."""
+    for parts in all_compositions(n):
+        ts = sort_generators(BlockStructure(parts))
+        cert = linear_quotients_certificate([t.monomial(n) for t in ts])
+        assert cert.is_linear, parts
+        assert resolution._colon_sets(*resolution._pack_triples(ts, n)) == (cert.sets, None)
+        code, out, _ = run(capsys, "betti", "--blocks", ",".join(map(str, parts)), "--format", "json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["linear_quotients"] is True, parts
+        assert result["set_sizes"] == [len(s) for s in cert.sets], parts
+        assert result["betti"] == list(betti_from_certificate(cert)), parts
+
+
+def test_betti_packs_the_triples_as_the_certificate_does_through_n8(capsys):
+    for n in range(3, 9):
+        assert_betti_packs_the_triples_as_the_certificate_does(capsys, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [9, 10])
+def test_betti_packs_the_triples_as_the_certificate_does_at_n9_and_n10(capsys, n):
+    assert_betti_packs_the_triples_as_the_certificate_does(capsys, n)
+
+
+def test_betti_builds_no_monomial_on_the_linear_path(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monomial was built")
+
+    monkeypatch.setattr(GeneratorTriple, "monomial", refuse)
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    code, out, _ = run(capsys, "betti", "--n", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["betti"] == list(betti_diagonal_table(12))
+
+
+def planted_order():
+    """The block order of (3, 3) with its last generator moved to position
+    15: the colons lose linearity at position 17."""
+    ts = sort_generators(BlockStructure((3, 3)))
+    return ts[:15] + [ts[19]] + ts[15:19]
+
+
+def test_the_packed_loop_stops_where_the_certificate_fails():
+    order = planted_order()
+    cert = linear_quotients_certificate([t.monomial(6) for t in order])
+    assert cert.first_failure == (17, Monomial.of(6, yvar(2), zvar(3)))
+    assert len(cert.sets) == 17
+    assert resolution._colon_sets(*resolution._pack_triples(order, 6)) == (cert.sets, 17)
+
+
+def test_betti_prints_the_certificate_witness_on_a_planted_order(capsys, monkeypatch):
+    cert = linear_quotients_certificate([t.monomial(6) for t in planted_order()])
+    j, q = cert.first_failure
+    monkeypatch.setattr(cli, "sort_generators", lambda a: planted_order())
+    code, out, _ = run(capsys, "betti", "--blocks", "3,3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "linear_quotients": False,
+        "set_sizes": [len(s) for s in cert.sets],
+        "first_failure": {"position": j, "colon_generator": repr(q)},
+    }
+    code, out, _ = run(capsys, "betti", "--blocks", "3,3")
+    assert code == 1
+    assert out.endswith(f"  first failure at position {j}: colon generator {q!r}\nFAIL\n")
+    assert (j, repr(q)) == (17, "y2*z3")
+
+
+def test_betti_below_three_columns_exits_two(capsys):
+    for argv in (["--n", "2"], ["--blocks", "1,1"], ["--n", "1"]):
+        code, out, err = run(capsys, "betti", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: need n >= 3 columns, got n = "), argv
+
+
 def test_verify_size_guard_sits_at_its_limit(capsys, monkeypatch):
     """One column past MAX_VERIFY_MINORS, verify exits 2 before any minor is
     built."""
@@ -236,6 +321,63 @@ def test_size_guards_run_before_the_block_structure_is_built(capsys, monkeypatch
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {LIMIT_ERRORS[argv[0]]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["weights", "--n", "10001"], ["weights", "--blocks", "5000,5001", "--w0", "2"]],
+)
+def test_weights_size_guard_runs_before_the_block_structure_is_built(capsys, monkeypatch, argv):
+    def refuse(parts):
+        raise AssertionError(f"BlockStructure({parts}) was built")
+
+    assert cli.MAX_WEIGHT_COLUMNS == 10_000
+    monkeypatch.setattr(cli, "BlockStructure", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: 10001 columns exceeds the weights limit MAX_WEIGHT_COLUMNS=10000\n"
+    code, out, err = run(capsys, "weights", "--n", "10000000")
+    assert code == 2 and out == ""
+    assert err == "error: 10000000 columns exceeds the weights limit MAX_WEIGHT_COLUMNS=10000\n"
+    monkeypatch.undo()
+    for limit, want in [(7, 0), (6, 2)]:
+        monkeypatch.setattr(cli, "MAX_WEIGHT_COLUMNS", limit)
+        code, out, _ = run(capsys, "weights", "--n", "7")
+        assert code == want, limit
+        assert (out == "") == (want == 2)
+
+
+def test_kernel_at_three_columns_caps_the_sum_of_its_degrees(capsys, monkeypatch):
+    """With one Pluecker variable no slice passes the budget, so dmax(dmax + 1)/2
+    may not pass it either; the refusal comes before any slice is built."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(parts):
+        raise Reached
+
+    monkeypatch.setattr(cli, "BlockStructure", reached)
+    code, out, err = run(capsys, "kernel", "--n", "3", "--dmax", "400", "--budget", "1")
+    assert code == 2 and out == ""
+    assert err == "error: degrees 1 to 400 read 80200 indices, over the budget of 1\n"
+    code, out, err = run(capsys, "kernel", "--n", "3", "--dmax", "1000")
+    assert code == 2 and out == ""
+    assert err == "error: degrees 1 to 1000 read 500500 indices, over the budget of 500000\n"
+    for argv in (["--n", "3", "--dmax", "999"], ["--n", "3", "--dmax", "4", "--budget", "10"]):
+        with pytest.raises(Reached):
+            main(["kernel", *argv])
+    # From n = 4 on the per-degree count decides, as before.
+    with pytest.raises(Reached):
+        main(["kernel", "--n", "10", "--dmax", "3"])
+    code, _, err = run(capsys, "kernel", "--n", "4", "--dmax", "4", "--budget", "9")
+    assert err == "error: degree 2 slice has 10 monomials, over the budget of 9\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "kernel", "--n", "3", "--dmax", "4", "--budget", "10")
+    assert code == 0 and "degree 4: 1 distinct images, rectangle dimension 1" in out
+    code, out, err = run(capsys, "kernel", "--n", "3", "--dmax", "4", "--budget", "9")
+    assert code == 2 and out == ""
+    assert err == "error: degrees 1 to 4 read 10 indices, over the budget of 9\n"
 
 
 def test_malformed_parts_are_reported_before_any_size_guard(capsys, monkeypatch):
