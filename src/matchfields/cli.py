@@ -40,7 +40,7 @@ from .resolution import (
     _colon_sets, _pack_triples, betti_from_variable_sets, linear_quotients_certificate
 )
 from .toric import (
-    _check_slice_budget,
+    _check_size,
     _format_exponents,
     _index_label,
     _kernel_and_flatness,
@@ -269,24 +269,13 @@ def _cmd_kernel(args) -> _Output:
     _at_least(args.dmax, 1, "--dmax")
     _at_least(args.budget, 0, "--budget")
     parts = _parts(args)
-    plucker_count = comb(sum(parts), 3)
-    # At n = 3 each degree d has one monomial, a d-tuple, and no slice trips
-    # the budget; the tuples' total length dmax(dmax + 1)/2 must not either.
-    reads = args.dmax * (args.dmax + 1) // 2
-    if plucker_count == 1 and reads > args.budget:
-        raise TooLargeError(
-            f"degrees 1 to {args.dmax} read {reads} indices, over the budget of {args.budget}"
-        )
-    for d in range(1, args.dmax + 1):
-        _check_slice_budget(plucker_count, d, args.budget)
+    _check_size(comb(sum(parts), 3), 1, args.dmax, args.budget)
     a = BlockStructure(parts)
     pmap = plucker_map_from_matching_field(a)
     names = _plucker_names(pmap)
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
-    kernel, flat = _kernel_and_flatness(
-        pmap, 3, a.n, args.dmax, args.budget, MAX_PRINTED_BINOMIALS
-    )
+    kernel, flat = _kernel_and_flatness(pmap, 3, a.n, args.dmax, MAX_PRINTED_BINOMIALS)
     for ks in kernel:
         entry = {
             "degree": ks.degree,

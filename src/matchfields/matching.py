@@ -113,7 +113,7 @@ def generator(a: BlockStructure, subset: Iterable[int]) -> GeneratorTriple:
     if len(cols) != 3 or len(set(cols)) != 3:
         raise InvalidSubsetError(f"need three distinct columns, got {cols}")
     i, j, k = sorted(cols)
-    if a.block_of(i) != a.block_of(j):
+    if a._blocks[i] != a._blocks[j]:
         return GeneratorTriple(j, i, k)
     return GeneratorTriple(i, j, k)
 
@@ -205,7 +205,7 @@ def _require_generator(a: BlockStructure, t: GeneratorTriple) -> None:
 
 
 def _block_sort_key(a: BlockStructure, t: GeneratorTriple) -> tuple[int, int, int, int]:
-    return (-t.z, a.block_of(t.y), -t.y, t.x)
+    return (-t.z, a._blocks[t.y], -t.y, t.x)
 
 
 def block_order_compare(a: BlockStructure, t1: GeneratorTriple, t2: GeneratorTriple) -> int:
@@ -266,8 +266,8 @@ def s_size_closed_form(a: BlockStructure, t: GeneratorTriple) -> int:
     ell, u, v = t.x, t.y, t.z
     n, r = a.n, a.r
     alpha = a.alphas
-    s_ell = a.block_of(ell)
-    s_u = a.block_of(u)
+    s_ell = a._blocks[ell]
+    s_u = a._blocks[u]
     if s_ell == s_u:
         if s_ell < r:
             return alpha[s_ell] - u + ell - 1 + n - v

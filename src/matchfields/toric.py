@@ -3,10 +3,11 @@
 A matching field sends each 3-subset of columns to a monomial; extending
 multiplicatively gives a monomial map from the polynomial ring on Pluecker
 variables.  Its kernel is spanned degree by degree by differences of
-monomials with equal image.  Comparing the number of distinct images with
-the dimension of the corresponding space of bivariate/trivariate tableaux
-tests that the Hilbert functions agree in every degree <= dmax, a finite
-check.
+monomials with equal image, and comparing the number of distinct images with
+the dimension of semistandard rectangle tableaux checks the Hilbert functions
+in each degree <= dmax.  One rule sizes every request from the number s of
+Pluecker variables alone: a degree may have at most budget monomials, and at
+s = 1 the d-tuples of all the degrees may read at most budget indices.
 
 The slices work on integer image codes: each image's exponent vector is
 packed into one int, with fields wide enough that a product of d images
@@ -117,7 +118,7 @@ def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
 
 
 def _fibres(
-    pmap: PluckerMap, d: int, budget: int, max_binomials: Optional[int]
+    pmap: PluckerMap, d: int, max_binomials: Optional[int]
 ) -> tuple[dict[int, Held], Optional[Members]]:
     """The degree-d Pluecker monomials grouped by image code, in one pass.
 
@@ -131,7 +132,6 @@ def _fibres(
     descending order of their exponent tuples, so a fibre's last is its least.
     """
     s = len(pmap.source)
-    _check_slice_budget(s, d, budget)
     codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
     bits = [1 << i for i in range(s)]
     fibres: dict[int, Held] = {}
@@ -165,14 +165,23 @@ def _fibres(
     return fibres, members
 
 
-def _check_slice_budget(s: int, d: int, budget: int) -> None:
-    """Refuse a degree-d slice over s Pluecker variables with more than
-    budget monomials; the count comb(s + d - 1, d) needs no map."""
-    total = comb(s + d - 1, d)
-    if total > budget:
+def _check_size(s: int, low: int, high: int, budget: int) -> None:
+    """The module's size rule for degrees low..high over s Pluecker variables;
+    degree d has comb(s + d - 1, d) monomials.  Below s = 2 that is the first
+    degree's count, so only the first is counted; an empty range checks nothing."""
+    if high < low:
+        return
+    reads = (low + high) * (high - low + 1) // 2
+    if s == 1 and reads > budget:
         raise TooLargeError(
-            f"degree {d} slice has {total} monomials, over the budget of {budget}"
+            f"degrees {low} to {high} read {reads} indices, over the budget of {budget}"
         )
+    for d in range(low, high + 1 if s > 1 else low + 1):
+        total = comb(s + d - 1, d)
+        if total > budget:
+            raise TooLargeError(
+                f"degree {d} slice has {total} monomials, over the budget of {budget}"
+            )
 
 
 def _exponents(combo: Combo, s: int) -> Exponents:
@@ -232,7 +241,8 @@ class KernelSlice:
 def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice:
     if type(d) is not int or d < 1:
         raise ValueError(f"degree must be an integer of at least 1, got {d!r}")
-    return _slice(pmap, d, *_fibres(pmap, d, budget, None))
+    _check_size(len(pmap.source), d, d, budget)
+    return _slice(pmap, d, *_fibres(pmap, d, None))
 
 
 def _slice(
@@ -287,10 +297,10 @@ def flatness_check(
     every degree <= dmax, a finite check."""
     if type(dmax) is not int or dmax < 0:
         raise ValueError(f"dmax must be a nonnegative integer, got {dmax!r}")
+    _check_size(len(pmap.source), 1, dmax, budget)
     # Only the number of distinct images counts, so no fibre is built.
     sizes = [1]
     for d in range(1, dmax + 1):
-        _check_slice_budget(len(pmap.source), d, budget)
         sizes.append(len(set(map(sum, combinations_with_replacement(_image_codes(pmap, d), d)))))
     return _flatness(k, n, sizes)
 
@@ -302,7 +312,7 @@ def _flatness(k: int, n: int, sizes: Iterable[int]) -> FlatnessReport:
 
 
 def _kernel_and_flatness(
-    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int, max_binomials: Optional[int]
+    pmap: PluckerMap, k: int, n: int, dmax: int, max_binomials: Optional[int]
 ) -> tuple[list[KernelSlice], FlatnessReport]:
     """kernel_slice for d = 1..dmax and flatness_check to dmax, building
     each degree's fibres once, and the binomials of a slice only when it
@@ -310,7 +320,7 @@ def _kernel_and_flatness(
     slices = []
     sizes = [1]
     for d in range(1, dmax + 1):
-        fibres, members = _fibres(pmap, d, budget, max_binomials)
+        fibres, members = _fibres(pmap, d, max_binomials)
         slices.append(_slice(pmap, d, fibres, members))
         sizes.append(len(fibres))
     return slices, _flatness(k, n, sizes)

@@ -21,6 +21,7 @@ from matchfields import (
     BlockStructure,
     GeneratorTriple,
     Monomial,
+    TooLargeError,
     __version__,
     betti_diagonal_table,
     betti_from_certificate,
@@ -380,6 +381,69 @@ def test_kernel_at_three_columns_caps_the_sum_of_its_degrees(capsys, monkeypatch
     assert err == "error: degrees 1 to 4 read 10 indices, over the budget of 9\n"
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_refuses_exactly_when_flatness_check_does(capsys, monkeypatch, n):
+    """kernel and flatness_check share one size rule: on each dmax and
+    budget, kernel refuses with the message flatness_check raises, and goes
+    on to build the map when flatness_check returns."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(parts):
+        raise Reached
+
+    pm = plucker_map_from_matching_field(BlockStructure((n,)))
+    monkeypatch.setattr(cli, "BlockStructure", reached)
+    for dmax in range(1, 6):
+        for budget in (0, 1, 9, 10, 300, 500_000):
+            argv = ["kernel", "--n", str(n), "--dmax", str(dmax), "--budget", str(budget)]
+            try:
+                flatness_check(pm, 3, n, dmax, budget)
+            except TooLargeError as exc:
+                assert run(capsys, *argv) == (2, "", f"error: {exc}\n"), (dmax, budget)
+            else:
+                with pytest.raises(Reached):
+                    main(argv)
+
+
+def test_each_entry_point_runs_the_size_rule_once(capsys, monkeypatch):
+    calls = []
+    check = toric._check_size
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(toric, "_check_size", counted)
+    monkeypatch.setattr(cli, "_check_size", counted)
+    pm = plucker_map_from_matching_field(BlockStructure((2, 2)))
+    kernel_slice(pm, 3)
+    flatness_check(pm, 3, 4, 3)
+    assert run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")[0] == 0
+    assert calls == [(4, 3, 3, 500_000), (4, 1, 3, 500_000), (4, 1, 3, 500_000)]
+
+
+def test_kernel_below_three_columns_is_refused_in_one_step(capsys, monkeypatch):
+    """Below three columns there is no Pluecker variable and every degree has
+    as many monomials as the first, so the size rule counts that one alone,
+    whatever dmax is, and the column count is refused next."""
+    calls = []
+
+    def counted(m, k):
+        calls.append((m, k))
+        assert len(calls) == 1, "the size rule counted a second degree"
+        return comb(m, k)
+
+    monkeypatch.setattr(toric, "comb", counted)
+    for n in (1, 2):
+        calls.clear()
+        code, out, err = run(capsys, "kernel", "--n", str(n), "--dmax", str(10**12))
+        assert code == 2 and out == ""
+        assert err == f"error: need n >= 3 columns, got n = {n}\n"
+        assert calls == [(0, 1)]
+
+
 def test_malformed_parts_are_reported_before_any_size_guard(capsys, monkeypatch):
     monkeypatch.setattr(cli, "BlockStructure", None)
     for argv, message in [
@@ -500,9 +564,9 @@ def test_kernel_builds_each_degree_once(capsys, monkeypatch):
     calls = []
     fibres = toric._fibres
 
-    def counted(pmap, d, budget, max_binomials):
+    def counted(pmap, d, max_binomials):
         calls.append(d)
-        return fibres(pmap, d, budget, max_binomials)
+        return fibres(pmap, d, max_binomials)
 
     monkeypatch.setattr(toric, "_fibres", counted)
     code, _, _ = run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")

@@ -148,6 +148,31 @@ def test_generator_triples_reads_the_table_alone(monkeypatch):
     assert calls == ["block_of"]
 
 
+def test_sort_generators_reads_the_table_alone(monkeypatch):
+    """The sort key reads the column table, not block_of, and orders every
+    composition of n <= 8 as the validated block_of key does."""
+    for n in range(3, 9):
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            expected = sorted(
+                generator_triples(a), key=lambda t: (-t.z, a.block_of(t.y), -t.y, t.x)
+            )
+            assert sort_generators(a) == expected, parts
+    calls = []
+    block_of = BlockStructure.block_of
+
+    def counted(self, i):
+        calls.append(i)
+        return block_of(self, i)
+
+    monkeypatch.setattr(BlockStructure, "block_of", counted)
+    a = BlockStructure((4, 4, 4))
+    assert len(sort_generators(a)) == 220
+    assert calls == []
+    a.block_of(5)  # the wrapper counts
+    assert calls == [5]
+
+
 def test_block_structure_equality_reads_parts_alone():
     a, b = BlockStructure((2, 3)), BlockStructure([2, 3])
     assert a == b and hash(a) == hash(b) and repr(a) == "BlockStructure([2, 3])"

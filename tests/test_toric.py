@@ -150,6 +150,30 @@ def test_kernel_budget():
         kernel_slice(pm, 3, budget=1000)
 
 
+def test_one_pluecker_variable_caps_the_indices_its_degrees_read():
+    """At one Pluecker variable each degree has one monomial, a d-tuple, so
+    the budget caps the indices the tuples of all the degrees read."""
+    pm = plucker_map_from_matching_field(BlockStructure((3,)))
+    for dmax, budget, reads in [(1000, 500_000, 500500), (8000, 1, 32004000)]:
+        with pytest.raises(TooLargeError) as info:
+            flatness_check(pm, 3, 3, dmax, budget)
+        assert str(info.value) == (
+            f"degrees 1 to {dmax} read {reads} indices, over the budget of {budget}"
+        )
+    assert flatness_check(pm, 3, 3, 999).ok
+    with pytest.raises(TooLargeError) as info:
+        kernel_slice(pm, 11, budget=10)
+    assert str(info.value) == "degrees 11 to 11 read 11 indices, over the budget of 10"
+    assert kernel_slice(pm, 10, budget=10).dimension == 0
+
+
+def test_an_empty_degree_range_checks_nothing():
+    for n in (3, 6):
+        pm = plucker_map_from_matching_field(BlockStructure((n,)))
+        report = flatness_check(pm, 3, n, 0, budget=0)
+        assert report == toric.FlatnessReport(ok=True, rows=((0, 1, 1),)), n
+
+
 def test_hilbert_dim_rect_frozen_values():
     assert hilbert_dim_rect(2, 4, 2) == 20
     assert hilbert_dim_rect(3, 6, 2) == 175
@@ -218,11 +242,11 @@ def test_shared_slices_equal_kernel_slice_and_flatness_check():
     for parts in [(4,), (2, 3), (1, 2, 1, 1)]:
         n = sum(parts)
         pm = plucker_map_from_matching_field(BlockStructure(parts))
-        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, 500_000, None)
+        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3)], parts
         assert flat == flatness_check(pm, 3, n, 3), parts
     for i, pm in enumerate(random_plucker_maps()):
-        slices, flat = toric._kernel_and_flatness(pm, 2, 5, 4, 500_000, None)
+        slices, flat = toric._kernel_and_flatness(pm, 2, 5, 4, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3, 4)], i
         assert flat == flatness_check(pm, 2, 5, 4), i
 
@@ -389,9 +413,9 @@ def test_kernel_slice_builds_only_its_own_degree(monkeypatch):
     built = []
     fibres = toric._fibres
 
-    def counting(pmap, d, budget, max_binomials):
+    def counting(pmap, d, max_binomials):
         built.append(d)
-        return fibres(pmap, d, budget, max_binomials)
+        return fibres(pmap, d, max_binomials)
 
     monkeypatch.setattr(toric, "_fibres", counting)
     kernel_slice(plucker_map_from_matching_field(BlockStructure((2, 3))), 3)
@@ -420,7 +444,7 @@ def test_a_third_member_joins_two_classes_that_were_apart():
     codes = toric._image_codes(pm, 3)
     members = [(0, 2, 3), (1, 1, 4), (1, 2, 2)]
     assert {sum(codes[i] for i in m) for m in members} == {codes[0] + codes[2] + codes[3]}
-    fibres, kept = toric._fibres(pm, 3, 1000, None)
+    fibres, kept = toric._fibres(pm, 3, None)
     assert kept[codes[0] + codes[2] + codes[3]] == members
     assert fibres[codes[0] + codes[2] + codes[3]] == 0b11111
     assert kernel_slice(pm, 3) == reference_kernel_slice(pm, 3)
@@ -430,7 +454,7 @@ def test_members_that_meet_no_class_stay_apart():
     # Weight 7 in degree 2: p1*p6, p2*p5 and p3*p4, pairwise apart.
     pm = weighted_map((1, 2, 3, 4, 5, 6))
     codes = toric._image_codes(pm, 2)
-    fibres, _ = toric._fibres(pm, 2, 1000, None)
+    fibres, _ = toric._fibres(pm, 2, None)
     assert sorted(fibres[codes[0] + codes[5]]) == [0b001100, 0b010010, 0b100001]
     assert fibres[codes[0] + codes[0]] == (0, 0)
     ks = kernel_slice(pm, 2)
@@ -450,19 +474,19 @@ def test_members_are_kept_while_non_roots_number_at_most_max_binomials():
     assert joins and max(joins) < max(opens)
     full = kernel_slice(pm, d)
     assert full.dimension == len(joins) == 5
-    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, 500_000, full.dimension)
+    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, full.dimension)
     assert slices[-1] == full
-    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, 500_000, full.dimension - 1)
+    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, full.dimension - 1)
     assert slices[-1].binomials is None
     assert slices[-1].dimension == full.dimension
-    assert toric._fibres(pm, d, 500_000, 0)[1] is None
+    assert toric._fibres(pm, d, 0)[1] is None
 
 
 def test_kernel_memory_peak_on_three_three_two():
     pm = plucker_map_from_matching_field(BlockStructure((3, 3, 2)))
     tracemalloc.start()
     try:
-        slices, flat = toric._kernel_and_flatness(pm, 3, 8, 3, 500_000, 200)
+        slices, flat = toric._kernel_and_flatness(pm, 3, 8, 3, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
