@@ -11,175 +11,19 @@ Pluecker monomial maps.
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    FAMILIES,
-    Monomial,
-    Polynomial,
-    VariableId,
-    WeightOrder,
-    leading_monomial,
-    leading_term,
-    minor_expand,
-    xvar,
-    yvar,
-    zvar,
-)
-from .cellular import (
-    DGraph,
-    LayerReport,
-    RelabelMap,
-    check_layer_containment,
-    graph_G,
-    hypergraph_H,
-    is_cointerval,
-    relabel_f,
-    relabeled_ideal,
-    v_layer,
-    z_layer,
-    zy_layer,
-)
-from .errors import (
-    ArityTooSmallError,
-    BudgetExceededError,
-    InvalidColumnsError,
-    InvalidSubsetError,
-    MatchfieldsError,
-    NotAGeneratorError,
-    NotDivisibleError,
-    NotLinearQuotientsError,
-    TooLargeError,
-    TooSmallError,
-    UnknownVariableError,
-    ZeroPolynomialError,
-)
-from .groebner import (
-    GroebnerCheck,
-    GroebnerReport,
-    attainable_initial_supports,
-    is_groebner,
-    reduce,
-    s_polynomial,
-    verify_theorem_main,
-    weight_initial_form,
-)
-from .matching import (
-    BlockStructure,
-    GeneratorTriple,
-    MonomialIdeal,
-    block_order_compare,
-    generator,
-    generator_triples,
-    matching_ideal,
-    s_set,
-    s_set_variables,
-    s_size_closed_form,
-    sort_generators,
-    weight_matrix,
-)
-from .resolution import (
-    BettiTable,
-    QuotientCertificate,
-    betti_diagonal_closed_form,
-    betti_diagonal_table,
-    betti_from_certificate,
-    betti_from_variable_sets,
-    betti_oracle,
-    colon_by_monomial,
-    diagonal_lex_sets,
-    linear_quotients_certificate,
-)
-from .toric import (
-    FlatnessReport,
-    KernelSlice,
-    PluckerMap,
-    diagonal_plucker_map,
-    flatness_check,
-    format_plucker_exponents,
-    hilbert_dim_rect,
-    image_monomial,
-    kernel_slice,
-    plucker_map_from_matching_field,
-    plucker_quadric_gr24,
-    plucker_variable_name,
-)
+from .algebra import *
+from .cellular import *
+from .errors import *
+from .groebner import *
+from .matching import *
+from .resolution import *
+from .toric import *
 
-__all__ = [
-    "__version__",
-    "FAMILIES",
-    "Monomial",
-    "Polynomial",
-    "VariableId",
-    "WeightOrder",
-    "leading_monomial",
-    "leading_term",
-    "minor_expand",
-    "xvar",
-    "yvar",
-    "zvar",
-    "DGraph",
-    "LayerReport",
-    "RelabelMap",
-    "check_layer_containment",
-    "graph_G",
-    "hypergraph_H",
-    "is_cointerval",
-    "relabel_f",
-    "relabeled_ideal",
-    "v_layer",
-    "z_layer",
-    "zy_layer",
-    "ArityTooSmallError",
-    "BudgetExceededError",
-    "InvalidColumnsError",
-    "InvalidSubsetError",
-    "MatchfieldsError",
-    "NotAGeneratorError",
-    "NotDivisibleError",
-    "NotLinearQuotientsError",
-    "TooLargeError",
-    "TooSmallError",
-    "UnknownVariableError",
-    "ZeroPolynomialError",
-    "GroebnerCheck",
-    "GroebnerReport",
-    "attainable_initial_supports",
-    "is_groebner",
-    "reduce",
-    "s_polynomial",
-    "verify_theorem_main",
-    "weight_initial_form",
-    "BlockStructure",
-    "GeneratorTriple",
-    "MonomialIdeal",
-    "block_order_compare",
-    "generator",
-    "generator_triples",
-    "matching_ideal",
-    "s_set",
-    "s_set_variables",
-    "s_size_closed_form",
-    "sort_generators",
-    "weight_matrix",
-    "BettiTable",
-    "QuotientCertificate",
-    "betti_diagonal_closed_form",
-    "betti_diagonal_table",
-    "betti_from_certificate",
-    "betti_from_variable_sets",
-    "betti_oracle",
-    "colon_by_monomial",
-    "diagonal_lex_sets",
-    "linear_quotients_certificate",
-    "FlatnessReport",
-    "KernelSlice",
-    "PluckerMap",
-    "diagonal_plucker_map",
-    "flatness_check",
-    "format_plucker_exponents",
-    "hilbert_dim_rect",
-    "image_monomial",
-    "kernel_slice",
-    "plucker_map_from_matching_field",
-    "plucker_quadric_gr24",
-    "plucker_variable_name",
-]
+__all__ = ["__version__"]
+__all__ += algebra.__all__
+__all__ += cellular.__all__
+__all__ += errors.__all__
+__all__ += groebner.__all__
+__all__ += matching.__all__
+__all__ += resolution.__all__
+__all__ += toric.__all__

@@ -22,6 +22,20 @@ from .errors import (
     ZeroPolynomialError,
 )
 
+__all__ = [
+    "FAMILIES",
+    "Monomial",
+    "Polynomial",
+    "VariableId",
+    "WeightOrder",
+    "leading_monomial",
+    "leading_term",
+    "minor_expand",
+    "xvar",
+    "yvar",
+    "zvar",
+]
+
 FAMILIES = ("x", "y", "z")
 
 LESS = -1

@@ -24,6 +24,21 @@ from .algebra import Monomial, VariableId, xvar, yvar, zvar
 from .errors import ArityTooSmallError
 from .matching import BlockStructure, MonomialIdeal, generator_triples, sort_generators
 
+__all__ = [
+    "DGraph",
+    "LayerReport",
+    "RelabelMap",
+    "check_layer_containment",
+    "graph_G",
+    "hypergraph_H",
+    "is_cointerval",
+    "relabel_f",
+    "relabeled_ideal",
+    "v_layer",
+    "z_layer",
+    "zy_layer",
+]
+
 
 @dataclass(frozen=True)
 class DGraph:

@@ -40,6 +40,7 @@ from .resolution import (
     _colon_sets, _pack_triples, betti_from_variable_sets, linear_quotients_certificate
 )
 from .toric import (
+    KERNEL_BUDGET,
     _check_size,
     _format_exponents,
     _index_label,
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--dmax", type=int, default=2, help="largest degree to inspect (default 2)")
     p.add_argument(
-        "--budget", type=int, default=500_000,
+        "--budget", type=int, default=KERNEL_BUDGET,
         help="cap on monomials per degree and, at n = 3, on dmax(dmax + 1)/2",
     )
 

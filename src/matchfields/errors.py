@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ArityTooSmallError",
+    "BudgetExceededError",
+    "InvalidColumnsError",
+    "InvalidSubsetError",
+    "MatchfieldsError",
+    "NotAGeneratorError",
+    "NotDivisibleError",
+    "NotLinearQuotientsError",
+    "TooLargeError",
+    "TooSmallError",
+    "UnknownVariableError",
+    "ZeroPolynomialError",
+]
+
 
 class MatchfieldsError(Exception):
     """Base class for all errors raised by this package."""

@@ -31,6 +31,17 @@ from .errors import BudgetExceededError, TooLargeError, ZeroPolynomialError
 from .linalg import homogeneous_feasible
 from .matching import BlockStructure, generator_triples, weight_matrix
 
+__all__ = [
+    "GroebnerCheck",
+    "GroebnerReport",
+    "attainable_initial_supports",
+    "is_groebner",
+    "reduce",
+    "s_polynomial",
+    "verify_theorem_main",
+    "weight_initial_form",
+]
+
 
 class _Packing(Layout):
     """Monomials of one WeightOrder packed into single ints.

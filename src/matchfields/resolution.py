@@ -32,6 +32,19 @@ from .errors import NotLinearQuotientsError, TooLargeError
 from .linalg import rational_rank
 from .matching import GeneratorTriple, MonomialIdeal
 
+__all__ = [
+    "BettiTable",
+    "QuotientCertificate",
+    "betti_diagonal_closed_form",
+    "betti_diagonal_table",
+    "betti_from_certificate",
+    "betti_from_variable_sets",
+    "betti_oracle",
+    "colon_by_monomial",
+    "diagonal_lex_sets",
+    "linear_quotients_certificate",
+]
+
 
 @dataclass(frozen=True)
 class BettiTable:

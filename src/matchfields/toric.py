@@ -32,6 +32,21 @@ from .algebra import FAMILIES, Monomial, Polynomial, VariableId, xvar
 from .errors import TooLargeError, UnknownVariableError
 from .matching import BlockStructure, generator_triples
 
+__all__ = [
+    "FlatnessReport",
+    "KernelSlice",
+    "PluckerMap",
+    "diagonal_plucker_map",
+    "flatness_check",
+    "format_plucker_exponents",
+    "hilbert_dim_rect",
+    "image_monomial",
+    "kernel_slice",
+    "plucker_map_from_matching_field",
+    "plucker_quadric_gr24",
+    "plucker_variable_name",
+]
+
 Subset = tuple[int, ...]
 Exponents = tuple[int, ...]
 Combo = tuple[int, ...]
@@ -165,6 +180,10 @@ def _fibres(
     return fibres, members
 
 
+# The size rule's default budget: kernel_slice, flatness_check and kernel --budget.
+KERNEL_BUDGET = 500_000
+
+
 def _check_size(s: int, low: int, high: int, budget: int) -> None:
     """The module's size rule for degrees low..high over s Pluecker variables;
     degree d has comb(s + d - 1, d) monomials.  Below s = 2 that is the first
@@ -238,7 +257,7 @@ class KernelSlice:
     new_minimal_generators: int
 
 
-def kernel_slice(pmap: PluckerMap, d: int, budget: int = 500_000) -> KernelSlice:
+def kernel_slice(pmap: PluckerMap, d: int, budget: int = KERNEL_BUDGET) -> KernelSlice:
     if type(d) is not int or d < 1:
         raise ValueError(f"degree must be an integer of at least 1, got {d!r}")
     _check_size(len(pmap.source), d, d, budget)
@@ -290,7 +309,7 @@ class FlatnessReport:
 
 
 def flatness_check(
-    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int = 500_000
+    pmap: PluckerMap, k: int, n: int, dmax: int, budget: int = KERNEL_BUDGET
 ) -> FlatnessReport:
     """Check the map's image has the same size in each degree <= dmax as the
     space of semistandard rectangle fillings: the Hilbert functions agree in

@@ -10,7 +10,6 @@ from itertools import combinations
 
 from matchfields import (
     BlockStructure,
-    GeneratorTriple,
     Monomial,
     Polynomial,
     VariableId,
@@ -101,8 +100,8 @@ def test_acceptance_03_betti_10_15_6_three_independent_ways():
 def test_acceptance_04_linear_quotients_and_adjacency_sets():
     """Linear quotients hold along the block ordering for every composition
     with n <= 7; for n <= 6 the colon sets have exactly the sizes of the
-    one-coordinate-difference sets; the closed-form size diverges only at
-    the pinned case."""
+    one-coordinate-difference sets; for n <= 8 the closed-form size equals
+    those sets' size on every generator."""
     for n in range(3, 8):
         for parts in all_compositions(n):
             a = BlockStructure(parts)
@@ -112,11 +111,12 @@ def test_acceptance_04_linear_quotients_and_adjacency_sets():
             if n <= 6:
                 for t, got in zip(ts, cert.sets):
                     assert len(got) == len(s_set(a, t)), (parts, t)
-    a = BlockStructure((3, 2))
-    pinned = GeneratorTriple(1, 2, 3)
-    assert s_size_closed_form(a, pinned) == 3
-    assert len(s_set(a, pinned)) == 2
-    print("PASS linear quotients for all n <= 7; pinned closed-form divergence")
+    for n in range(3, 9):
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            for t in sort_generators(a):
+                assert s_size_closed_form(a, t) == len(s_set(a, t)), (parts, t)
+    print("PASS linear quotients for all n <= 7; closed-form s-set sizes for all n <= 8")
 
 
 def test_acceptance_05_diagonal_closed_form_matches_homology_oracle():

@@ -42,6 +42,17 @@ def test_monomial_construction_and_repr():
     assert Monomial.one(4).is_one
 
 
+def test_polynomial_repr_signs_constants_and_fractions():
+    x1, y1, y2 = (Monomial.of(2, v) for v in (xvar(1), yvar(1), yvar(2)))
+    one = Monomial.one(2)
+    assert repr(Polynomial.zero(2)) == "0"
+    assert repr(Polynomial(2, {one: 3})) == "3"
+    assert repr(Polynomial(2, {one: -1})) == "- 1"
+    assert repr(Polynomial(2, {x1: -1, y1: 1})) == "- x1 + y1"
+    mixed = Polynomial(2, {x1: -1, y1: Fraction(1, 2), one: 2, y2: Fraction(-3, 4)})
+    assert repr(mixed) == "2 - x1 + 1/2*y1 - 3/4*y2"
+
+
 def test_monomial_rejects_bad_variables():
     with pytest.raises(ValueError):
         Monomial.of(3, xvar(4))

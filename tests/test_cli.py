@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, golden outputs."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -42,7 +43,11 @@ from matchfields import (
 )
 from matchfields.cli import MAX_PRINTED_BINOMIALS, main
 
-from helpers import all_compositions
+from helpers import (
+    INJECTED_RESIDUAL,
+    all_compositions,
+    leave_the_first_s_pair_unreduced,
+)
 
 
 def run(capsys, *argv):
@@ -116,6 +121,32 @@ def test_verify_pass_and_json(capsys):
     assert doc["result"]["s_pairs_total"] == 6
     assert doc["result"]["s_pairs_reduced_to_zero"] == 6
     assert doc["result"]["failures"] == []
+
+
+def test_verify_prints_the_failing_s_pair_and_exits_one(capsys, monkeypatch):
+    leave_the_first_s_pair_unreduced(monkeypatch)
+    code, out, err = run(capsys, "verify", "--blocks", "4")
+    assert (code, err) == (1, "")
+    assert out == (
+        "degeneration check for blocks [4] (n = 4, w0 = 1):\n"
+        "  every minor has its unique top-weight term on the matching field: yes\n"
+        "  S-pairs reduced to zero: 5 of 6\n"
+        "  initial ideal equals the matching ideal: NO\n"
+        f"  failure: {INJECTED_RESIDUAL}\n"
+        "FAIL\n"
+    )
+    monkeypatch.undo()
+    leave_the_first_s_pair_unreduced(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--blocks", "4", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"] == {
+        "ok": False,
+        "per_minor_initial_ok": True,
+        "s_pairs_total": 6,
+        "s_pairs_reduced_to_zero": 5,
+        "initial_ideal_equals_matching_ideal": False,
+        "failures": [INJECTED_RESIDUAL],
+    }
 
 
 def test_verify_budget_exit_two(capsys):
@@ -424,6 +455,15 @@ def test_each_entry_point_runs_the_size_rule_once(capsys, monkeypatch):
     assert calls == [(4, 3, 3, 500_000), (4, 1, 3, 500_000), (4, 1, 3, 500_000)]
 
 
+def test_the_kernel_budget_default_is_one_constant():
+    defaults = [
+        inspect.signature(f).parameters["budget"].default for f in (kernel_slice, flatness_check)
+    ]
+    defaults.append(cli.build_parser().parse_args(["kernel", "--n", "4"]).budget)
+    assert defaults == [toric.KERNEL_BUDGET] * 3
+    assert "KERNEL_BUDGET" not in toric.__all__
+
+
 def test_kernel_below_three_columns_is_refused_in_one_step(capsys, monkeypatch):
     """Below three columns there is no Pluecker variable and every degree has
     as many monomials as the first, so the size rule counts that one alone,
@@ -472,6 +512,37 @@ def test_cointerval_json_golden(capsys):
     assert r["relabeling"]["z5"] == 1
     assert r["relabeling"]["x4"] == 9
     assert r["witness"] is None
+
+
+def test_cointerval_prints_nesting_failures_and_the_witness(capsys, monkeypatch):
+    # Without x1*y3*z5 the generators of (5,) fail both checks, which no
+    # block-diagonal field does.
+    sort_generators = cellular.sort_generators
+    dropped = GeneratorTriple(1, 3, 5)
+    monkeypatch.setattr(
+        cellular, "sort_generators", lambda a: [t for t in sort_generators(a) if t != dropped]
+    )
+    code, out, err = run(capsys, "cointerval", "--blocks", "5")
+    assert (code, err) == (1, "")
+    assert out == (
+        "relabeled graph for blocks [5] (n = 5): m = 3, k = 3, l = 3\n"
+        "  edges: 147 148 149 158 167 257 258 267 367\n"
+        "  z- and y-layer nesting: NO\n"
+        "  co-interval: NO\n"
+        "  nesting failure: z_4-layer not contained in z_5-layer\n"
+        "  nesting failure: in z_5-layer: y_2 x-set not inside y_3 x-set\n"
+        "  witness: layers of vertices 1 and 2 not nested\n"
+        "FAIL\n"
+    )
+    code, out, _ = run(capsys, "cointerval", "--blocks", "5", "--format", "json")
+    assert code == 1
+    r = json.loads(out)["result"]
+    assert r["layer_nesting_ok"] is False
+    assert r["layer_witnesses"] == [
+        "z_4-layer not contained in z_5-layer",
+        "in z_5-layer: y_2 x-set not inside y_3 x-set",
+    ]
+    assert (r["cointerval"], r["witness"]) == (False, [1, 2])
 
 
 def test_cointerval_call_reads_one_layer_table(capsys, monkeypatch):

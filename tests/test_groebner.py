@@ -35,7 +35,12 @@ from matchfields import (
 )
 from itertools import combinations
 
-from helpers import all_compositions, composition
+from helpers import (
+    INJECTED_RESIDUAL,
+    all_compositions,
+    composition,
+    leave_the_first_s_pair_unreduced,
+)
 
 
 def _unit_order(n):
@@ -619,3 +624,13 @@ def test_minor_leads_match_sympy_grevlex_bases(n):
         }
         assert {p.monoms(order="grevlex")[0] for p in basis.polys} == want, (n, seed)
         assert is_groebner(minors, order).ok
+
+
+def test_a_residual_s_pair_fails_verify_with_its_witness(monkeypatch):
+    leave_the_first_s_pair_unreduced(monkeypatch)
+    report = verify_theorem_main(BlockStructure((4,)))
+    assert report.ok is False
+    assert report.per_minor_initial_ok is True
+    assert (report.s_pairs_total, report.s_pairs_reduced_to_zero) == (6, 5)
+    assert report.initial_ideal_equals_matching_ideal is False
+    assert report.failures == (INJECTED_RESIDUAL,)

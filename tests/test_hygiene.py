@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "matchfields"
 
 
@@ -103,21 +105,76 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-def test_all_is_the_version_and_each_import_once():
-    """__all__ lists __version__ and exactly the names __init__.py imports,
-    none of them twice."""
+# The public surface: matchfields.__all__, sorted.  A name leaves it only by
+# an edit here.
+PUBLIC_NAMES = [
+    "ArityTooSmallError", "BettiTable", "BlockStructure", "BudgetExceededError",
+    "DGraph", "FAMILIES", "FlatnessReport", "GeneratorTriple", "GroebnerCheck",
+    "GroebnerReport", "InvalidColumnsError", "InvalidSubsetError", "KernelSlice",
+    "LayerReport", "MatchfieldsError", "Monomial", "MonomialIdeal",
+    "NotAGeneratorError", "NotDivisibleError", "NotLinearQuotientsError", "PluckerMap",
+    "Polynomial", "QuotientCertificate", "RelabelMap", "TooLargeError",
+    "TooSmallError", "UnknownVariableError", "VariableId", "WeightOrder",
+    "ZeroPolynomialError", "__version__", "attainable_initial_supports",
+    "betti_diagonal_closed_form", "betti_diagonal_table", "betti_from_certificate",
+    "betti_from_variable_sets", "betti_oracle", "block_order_compare",
+    "check_layer_containment", "colon_by_monomial", "diagonal_lex_sets",
+    "diagonal_plucker_map", "flatness_check", "format_plucker_exponents", "generator",
+    "generator_triples", "graph_G", "hilbert_dim_rect", "hypergraph_H",
+    "image_monomial", "is_cointerval", "is_groebner", "kernel_slice",
+    "leading_monomial", "leading_term", "linear_quotients_certificate",
+    "matching_ideal", "minor_expand", "plucker_map_from_matching_field",
+    "plucker_quadric_gr24", "plucker_variable_name", "reduce", "relabel_f",
+    "relabeled_ideal", "s_polynomial", "s_set", "s_set_variables",
+    "s_size_closed_form", "sort_generators", "v_layer", "verify_theorem_main",
+    "weight_initial_form", "weight_matrix", "xvar", "yvar", "z_layer", "zvar",
+    "zy_layer",
+]
+
+
+def _top_level(path):
+    """The names a module's own top-level statements define."""
+    tree = ast.parse(path.read_text())
+    return {name for name, node in _definitions(tree) if node in tree.body}
+
+
+def test_each_public_name_is_declared_once_in_the_module_that_defines_it():
+    """__init__.py star-imports exactly the modules that declare __all__; each
+    __all__ lists public top-level definitions of its own module, no name is
+    in two, and matchfields.__all__ is __version__ and their concatenation."""
+    import importlib
+
     import matchfields
 
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    exported = matchfields.__all__
+    init = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    assert all([alias.name for alias in node.names] == ["*"] for node in imports)
+    modules = [node.module for node in imports]
+    defined = {path.stem: _top_level(path) for path in SRC.glob("*.py")}
+    del defined["__init__"]
+    assert sorted(modules) == sorted(m for m, names in defined.items() if "__all__" in names)
+    exported = []
+    for module in modules:
+        names = importlib.import_module(f"matchfields.{module}").__all__
+        assert [name for name in names if name[0] == "_" or name not in defined[module]] == []
+        exported += names
     assert len(set(exported)) == len(exported)
-    assert sorted(exported) == sorted(["__version__", *imported])
+    assert matchfields.__all__ == ["__version__", *exported]
+    assert sorted(matchfields.__all__) == PUBLIC_NAMES
+
+
+def test_the_version_is_written_once():
+    """pyproject.toml reads the version from the package."""
+    import warnings
+
+    import matchfields
+
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = pyprojecttoml.read_configuration(SRC.parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == matchfields.__version__
+    assert "version" in config["project"]["dynamic"]
 
 
 def test_no_floating_point_in_the_package():

@@ -393,17 +393,23 @@ def test_s_set_members_precede_and_differ_once():
                 assert diffs == 1
 
 
-def test_s_size_closed_form_matches_and_known_divergence():
-    # The closed form agrees with the definitional set everywhere except a
-    # pinned case, where the formula overcounts by one.
-    a = BlockStructure((3, 2))
-    t_div = GeneratorTriple(1, 2, 3)
-    assert s_size_closed_form(a, t_div) == 3
-    assert len(s_set(a, t_div)) == 2
-    for t in sort_generators(a):
-        if t == t_div:
-            continue
-        assert s_size_closed_form(a, t) == len(s_set(a, t)), t
+def assert_s_size_closed_form_is_the_s_set_size(ns):
+    for n in ns:
+        for parts in all_compositions(n):
+            a = BlockStructure(parts)
+            for t in sort_generators(a):
+                assert s_size_closed_form(a, t) == len(s_set(a, t)), (parts, t)
+
+
+def test_s_size_closed_form_equals_the_s_set_size():
+    # Both branches, x and y in one block and in two, on the 10 244 triples
+    # of n <= 8.
+    assert_s_size_closed_form_is_the_s_set_size(range(3, 9))
+
+
+@pytest.mark.slow
+def test_s_size_closed_form_equals_the_s_set_size_at_n9():
+    assert_s_size_closed_form_is_the_s_set_size([9])
 
 
 def test_s_set_sizes_sum_to_pairs_with_unique_lcm_degree_four():
