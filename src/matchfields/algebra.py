@@ -313,7 +313,7 @@ class Polynomial:
             )
             parts.append(f"{sign} {body}")
         out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out
+        return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 class WeightOrder:

@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=2, help="largest degree to inspect (default 2)")
     p.add_argument(
         "--budget", type=int, default=KERNEL_BUDGET,
-        help="cap on monomials per degree and, at n = 3, on dmax(dmax + 1)/2",
+        help="cap on the monomials of degrees 1 to dmax together and, at n = 3, on dmax(dmax + 1)/2",
     )
 
     p = sub.add_parser("supports", help="attainable initial supports of a quadric")

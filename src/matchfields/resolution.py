@@ -57,9 +57,9 @@ class BettiTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if any(v < 0 for v in vals):
-            raise ValueError("Betti numbers are nonnegative")
+        vals = tuple(self.values)
+        if any(type(v) is not int or v < 0 for v in vals):
+            raise ValueError(f"Betti numbers must be nonnegative integers, got {vals!r}")
         if vals and vals[-1] == 0:
             raise ValueError("Betti table must be trimmed of trailing zeros")
         object.__setattr__(self, "values", vals)

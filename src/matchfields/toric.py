@@ -6,8 +6,8 @@ variables.  Its kernel is spanned degree by degree by differences of
 monomials with equal image, and comparing the number of distinct images with
 the dimension of semistandard rectangle tableaux checks the Hilbert functions
 in each degree <= dmax.  One rule sizes every request from the number s of
-Pluecker variables alone: a degree may have at most budget monomials, and at
-s = 1 the d-tuples of all the degrees may read at most budget indices.
+Pluecker variables alone: the requested degrees may have at most budget
+monomials together, and at s = 1 their d-tuples read at most budget indices.
 
 The slices work on integer image codes: each image's exponent vector is
 packed into one int, with fields wide enough that a product of d images
@@ -148,7 +148,7 @@ def _fibres(
     """
     s = len(pmap.source)
     codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
-    bits = [1 << i for i in range(s)]
+    bits: list[int] = []  # 1 << i, built at the first repeated code
     fibres: dict[int, Held] = {}
     members: Optional[Members] = {}
     extra = 0
@@ -163,6 +163,7 @@ def _fibres(
         if members is not None:
             members.setdefault(code, [held]).append(combo)
         if type(held) is tuple:
+            bits = bits or [1 << i for i in range(s)]
             first = 0
             for i in held:
                 first |= bits[i]
@@ -185,22 +186,20 @@ KERNEL_BUDGET = 500_000
 
 
 def _check_size(s: int, low: int, high: int, budget: int) -> None:
-    """The module's size rule for degrees low..high over s Pluecker variables;
-    degree d has comb(s + d - 1, d) monomials.  Below s = 2 that is the first
-    degree's count, so only the first is counted; an empty range checks nothing."""
-    if high < low:
-        return
-    reads = (low + high) * (high - low + 1) // 2
-    if s == 1 and reads > budget:
-        raise TooLargeError(
-            f"degrees {low} to {high} read {reads} indices, over the budget of {budget}"
-        )
-    for d in range(low, high + 1 if s > 1 else low + 1):
-        total = comb(s + d - 1, d)
-        if total > budget:
-            raise TooLargeError(
-                f"degree {d} slice has {total} monomials, over the budget of {budget}"
-            )
+    """The module's size rule: degrees low..high over s Pluecker variables hold
+    comb(s + high, s) - comb(s + low - 1, s) monomials (hockey stick), at most
+    budget; at s = 1, k = 2 for s counts the indices their d-tuples read.  With
+    a = budget.bit_length(), a degree d >= a over s >= a + 1 variables alone has
+    comb(s - 1 + d, d) >= comb(2a, a) >= 2**a > budget monomials, so such a range
+    counts a + 1 variables: a lower bound over the budget that keeps comb small."""
+    a = budget.bit_length()
+    counted = min(s, a + 1) if high >= a else s
+    k = 2 if s == 1 else counted
+    total = comb(counted + high, k) - comb(counted + low - 1, k)
+    if total > budget:
+        bound = "" if counted == s else "at least "
+        found = f"read {total} indices" if s == 1 else f"have {bound}{total} monomials"
+        raise TooLargeError(f"degrees {low} to {high} {found}, over the budget of {budget}")
 
 
 def _exponents(combo: Combo, s: int) -> Exponents:

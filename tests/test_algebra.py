@@ -47,8 +47,9 @@ def test_polynomial_repr_signs_constants_and_fractions():
     one = Monomial.one(2)
     assert repr(Polynomial.zero(2)) == "0"
     assert repr(Polynomial(2, {one: 3})) == "3"
-    assert repr(Polynomial(2, {one: -1})) == "- 1"
-    assert repr(Polynomial(2, {x1: -1, y1: 1})) == "- x1 + y1"
+    assert repr(Polynomial(2, {one: -1})) == "-1"
+    assert repr(Polynomial(2, {x1: -1, y1: 1})) == "-x1 + y1"
+    assert repr(Polynomial(2, {x1: Fraction(-1, 2)})) == "-1/2*x1"
     mixed = Polynomial(2, {x1: -1, y1: Fraction(1, 2), one: 2, y2: Fraction(-3, 4)})
     assert repr(mixed) == "2 - x1 + 1/2*y1 - 3/4*y2"
 

@@ -309,16 +309,66 @@ def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
 
 
 def test_kernel_refuses_an_over_budget_degree_before_building_the_map(capsys, monkeypatch):
+    """The budget caps the monomials of degrees 1 to dmax together: at n = 12
+    they are 220 + 24310 + 1798940."""
+
     def refuse(a):
         raise AssertionError("the Pluecker map was built")
 
     monkeypatch.setattr(cli, "plucker_map_from_matching_field", refuse)
     code, out, err = run(capsys, "kernel", "--n", "150", "--dmax", "1")
     assert code == 2 and out == ""
-    assert err == "error: degree 1 slice has 551300 monomials, over the budget of 500000\n"
+    assert err == "error: degrees 1 to 1 have 551300 monomials, over the budget of 500000\n"
     code, out, err = run(capsys, "kernel", "--n", "12", "--dmax", "3", "--budget", "300")
     assert code == 2 and out == ""
-    assert err == "error: degree 2 slice has 24310 monomials, over the budget of 300\n"
+    assert err == "error: degrees 1 to 3 have 1823470 monomials, over the budget of 300\n"
+    code, out, err = run(capsys, "kernel", "--n", "4", "--dmax", "142")
+    assert code == 2 and out == ""
+    assert err == "error: degrees 1 to 142 have 18163859 monomials, over the budget of 500000\n"
+
+
+@pytest.mark.parametrize("n, dmax", [(4, 56), (5, 11), (6, 6), (10, 3), (145, 1)])
+def test_kernel_accepts_dmax_up_to_the_budget_of_all_its_degrees(capsys, monkeypatch, n, dmax):
+    """At the default budget the largest --dmax kernel accepts at n = 4 is 56,
+    where C(60, 4) - 1 = 487634 monomials fill degrees 1 to 56, and at n = 5
+    it is 11; one degree more exits 2 before any column is read."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(parts):
+        raise Reached
+
+    monkeypatch.setattr(cli, "BlockStructure", reached)
+    with pytest.raises(Reached):
+        main(["kernel", "--n", str(n), "--dmax", str(dmax)])
+    code, out, err = run(capsys, "kernel", "--n", str(n), "--dmax", str(dmax + 1))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: degrees 1 to {dmax + 1} have "), err
+
+
+def test_kernel_sizes_a_huge_dmax_with_small_binomials(capsys, monkeypatch):
+    """Past the budget's bit length in both the degree and the number of
+    variables one degree alone is over the budget, so the rule counts few
+    variables: comb never multiplies out more than a + 1 factors, and the
+    refusal gives a lower bound on the monomials."""
+    factors = []
+
+    def counted(m, k):
+        factors.append(min(k, m - k))
+        assert factors[-1] <= 20, (m, k)
+        return comb(m, k)
+
+    monkeypatch.setattr(toric, "comb", counted)
+    code, out, err = run(capsys, "kernel", "--n", "150", "--dmax", "1000000")
+    assert code == 2 and out == ""
+    bound = comb(20 + 10**6, 20) - 1
+    assert err == (
+        f"error: degrees 1 to 1000000 have at least {bound} monomials, over the budget of 500000\n"
+    )
+    code, out, err = run(capsys, "kernel", "--n", "150", "--dmax", "1")
+    assert err == "error: degrees 1 to 1 have 551300 monomials, over the budget of 500000\n"
+    assert factors
 
 
 LIMIT_ERRORS = {
@@ -326,7 +376,7 @@ LIMIT_ERRORS = {
     "cointerval": "35990 generators exceeds the cointerval limit MAX_GENERATORS=34220",
     "betti": "1330 generators exceeds the betti limit MAX_BETTI_GENERATORS=1140",
     "verify": "1330 generators exceeds the verify limit MAX_VERIFY_MINORS=1140",
-    "kernel": "degree 1 slice has 551300 monomials, over the budget of 500000",
+    "kernel": "degrees 1 to 1 have 551300 monomials, over the budget of 500000",
 }
 
 
@@ -399,11 +449,11 @@ def test_kernel_at_three_columns_caps_the_sum_of_its_degrees(capsys, monkeypatch
     for argv in (["--n", "3", "--dmax", "999"], ["--n", "3", "--dmax", "4", "--budget", "10"]):
         with pytest.raises(Reached):
             main(["kernel", *argv])
-    # From n = 4 on the per-degree count decides, as before.
+    # From n = 4 on the monomials of all the degrees decide.
     with pytest.raises(Reached):
         main(["kernel", "--n", "10", "--dmax", "3"])
     code, _, err = run(capsys, "kernel", "--n", "4", "--dmax", "4", "--budget", "9")
-    assert err == "error: degree 2 slice has 10 monomials, over the budget of 9\n"
+    assert err == "error: degrees 1 to 4 have 69 monomials, over the budget of 9\n"
     monkeypatch.undo()
     code, out, _ = run(capsys, "kernel", "--n", "3", "--dmax", "4", "--budget", "10")
     assert code == 0 and "degree 4: 1 distinct images, rectangle dimension 1" in out
@@ -465,23 +515,23 @@ def test_the_kernel_budget_default_is_one_constant():
 
 
 def test_kernel_below_three_columns_is_refused_in_one_step(capsys, monkeypatch):
-    """Below three columns there is no Pluecker variable and every degree has
-    as many monomials as the first, so the size rule counts that one alone,
-    whatever dmax is, and the column count is refused next."""
+    """Below three columns there is no Pluecker variable and no monomial of
+    positive degree; the size rule counts them in a fixed number of comb
+    calls, whatever dmax is, and the column count is refused next."""
     calls = []
 
     def counted(m, k):
         calls.append((m, k))
-        assert len(calls) == 1, "the size rule counted a second degree"
         return comb(m, k)
 
     monkeypatch.setattr(toric, "comb", counted)
     for n in (1, 2):
-        calls.clear()
-        code, out, err = run(capsys, "kernel", "--n", str(n), "--dmax", str(10**12))
-        assert code == 2 and out == ""
-        assert err == f"error: need n >= 3 columns, got n = {n}\n"
-        assert calls == [(0, 1)]
+        for dmax in (1, 1000, 10**12):
+            calls.clear()
+            code, out, err = run(capsys, "kernel", "--n", str(n), "--dmax", str(dmax))
+            assert code == 2 and out == ""
+            assert err == f"error: need n >= 3 columns, got n = {n}\n"
+            assert calls == [(dmax, 0), (0, 0)], dmax
 
 
 def test_malformed_parts_are_reported_before_any_size_guard(capsys, monkeypatch):

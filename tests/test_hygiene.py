@@ -218,6 +218,6 @@ def test_no_floating_point_in_the_package():
 def test_the_kernel_size_rule_has_one_owner():
     """The refusals of the kernel's size rule are written in toric.py alone,
     so no second copy of the rule grows back elsewhere."""
-    for text in ("slice has", "indices, over the budget"):
+    for text in ("read {total} indices", "{total} monomials", "over the budget of"):
         owners = [path.name for path in sorted(SRC.glob("*.py")) if text in path.read_text()]
         assert owners == ["toric.py"], text

@@ -50,6 +50,13 @@ def test_betti_table_container():
         BettiTable((-1,))
 
 
+@pytest.mark.parametrize("values", [(1.7, True), (3.0,), (True,), ("3",), (4, Fraction(3))])
+def test_betti_table_refuses_entries_that_are_not_ints(values):
+    """A float, bool or str is refused, not truncated or parsed by int()."""
+    with pytest.raises(ValueError, match="must be nonnegative integers"):
+        BettiTable(values)
+
+
 def test_colon_by_monomial():
     n = 2
     xy = Monomial.of(n, xvar(1), yvar(1))

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,95 @@ def test_an_empty_degree_range_checks_nothing():
         pm = plucker_map_from_matching_field(BlockStructure((n,)))
         report = flatness_check(pm, 3, n, 0, budget=0)
         assert report == toric.FlatnessReport(ok=True, rows=((0, 1, 1),)), n
+
+
+def _refusal(s, low, high, budget):
+    """The message of the size rule on these degrees, or None if it passes."""
+    try:
+        toric._check_size(s, low, high, budget)
+    except TooLargeError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_size_rule_counts_the_degrees_together_in_closed_form():
+    """comb(s + high, s) - comb(s + low - 1, s) is the sum over the degrees of
+    their comb(s + d - 1, d) monomials, and at s = 1 the same count with
+    k = 2 is the sum of d, the indices the d-tuples read: the rule passes at
+    exactly that budget and names that number one below it."""
+    for s in (0, 1, 2, 3, 4, 10, 20, 56):
+        for low in range(1, 13):
+            for high in range(low - 1, 13):
+                degrees = range(low, high + 1)
+                if s == 1:
+                    total = sum(degrees)
+                    found = f"read {total} indices"
+                else:
+                    total = sum(comb(s + d - 1, d) for d in degrees)
+                    found = f"have {total} monomials"
+                assert _refusal(s, low, high, total) is None, (s, low, high)
+                if total:
+                    assert _refusal(s, low, high, total - 1) == (
+                        f"degrees {low} to {high} {found}, over the budget of {total - 1}"
+                    ), (s, low, high)
+
+
+def test_the_size_rule_decides_as_the_exact_total_where_it_bounds_it():
+    """Where the range reaches degree a = budget.bit_length() the rule counts
+    a + 1 variables only; it refuses exactly when the exact total is over the
+    budget, and then names the exact total or a lower bound still over it."""
+    for s in range(40):
+        for low in range(1, 8):
+            for high in range(low - 1, 25):
+                exact = sum(d if s == 1 else comb(s + d - 1, d) for d in range(low, high + 1))
+                for budget in (0, 1, 9, 100, 4000):
+                    message = _refusal(s, low, high, budget)
+                    assert (message is None) == (exact <= budget), (s, low, high, budget)
+                    if message is not None and "at least" in message:
+                        shown = int(message.split("at least ")[1].split()[0])
+                        assert budget < shown < exact, (s, low, high, budget)
+                    elif message is not None:
+                        assert f" {exact} " in message, (s, low, high, budget)
+
+
+def _per_degree_rule(s, dmax, budget):
+    """The size rule as it was, for comparison: each degree 1..dmax alone
+    within the budget and, at s = 1, dmax(dmax + 1)/2 indices within it."""
+    if s == 1:
+        return dmax * (dmax + 1) // 2 <= budget
+    return all(comb(s + d - 1, d) <= budget for d in range(1, dmax + 1))
+
+
+def test_the_closed_form_lowers_the_default_dmax_only_at_four_and_five_columns():
+    def largest(accepts):
+        dmax = 0
+        while accepts(dmax + 1):
+            dmax += 1
+        return dmax
+
+    budget = toric.KERNEL_BUDGET
+    moved = {}
+    for n in range(3, 200):
+        s = comb(n, 3)
+        before = largest(lambda dmax: _per_degree_rule(s, dmax, budget))
+        after = largest(lambda dmax: _refusal(s, 1, dmax, budget) is None)
+        if after != before:
+            moved[n] = (before, after)
+    assert moved == {4: (142, 56), 5: (13, 11)}
+
+
+def test_fibres_builds_no_bit_table_when_no_image_repeats():
+    """In degree 1 no image repeats, so the support bits of the 9880 Pluecker
+    variables at n = 40 (about 6 MiB of ints) are never built."""
+    pm = plucker_map_from_matching_field(BlockStructure((40,)))
+    tracemalloc.start()
+    try:
+        fibres, members = toric._fibres(pm, 1, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fibres) == 9880 and members == {}
+    assert peak < 4 * 2**20, peak
 
 
 def test_hilbert_dim_rect_frozen_values():
