@@ -10,7 +10,9 @@ Subcommands:
   supports     initial supports attainable by weight vectors (2x4 quadric)
 
 Exit codes: 0 on success, 1 when a mathematical check comes back false,
-2 on invalid input or an exceeded computation budget.
+2 on invalid input or an exceeded computation budget.  The commands keyed
+in MAX_COLUMNS refuse more columns than their entry before they build
+anything; kernel is sized by toric._check_size.
 
 JSON output is written in one pass by _dumps, byte for byte what
 json.dumps(doc, indent=2, sort_keys=True) writes: keys sorted, two spaces
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import suppress
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -42,6 +45,7 @@ from .resolution import (
 from .toric import (
     KERNEL_BUDGET,
     _check_size,
+    _format_count,
     _format_exponents,
     _index_label,
     _kernel_and_flatness,
@@ -58,22 +62,10 @@ CSV_COMMANDS = {"generators", "weights", "betti"}
 # never built.
 MAX_PRINTED_BINOMIALS = 200
 
-# betti refuses more generators than the matching ideal has at n = 20: the
-# linear-quotients certificate's work grows as the square of their number.
-MAX_BETTI_GENERATORS = comb(20, 3)
-
-# verify refuses more 3 x 3 minors than there are at n = 20: it builds every
-# minor and every S-pair of them, and its time grows about threefold for
-# every two columns.
-MAX_VERIFY_MINORS = comb(20, 3)
-
-# generators and cointerval refuse more generators than the matching ideal
-# has at n = 60: the output and the layer table grow as n^3.
-MAX_GENERATORS = comb(60, 3)
-
-# weights refuses more columns than this: its work and output grow linearly
-# in n, and --n 10000 takes about 0.3 s and 34 MiB as a process.
-MAX_WEIGHT_COLUMNS = 10_000
+# Column limits: verify and betti grow fast in their C(n, 3) minors or
+# generators, generators and cointerval print and tabulate them, and weights
+# grows linearly (--n 10000 takes 0.3 s and 34 MiB as a process).
+MAX_COLUMNS = {"generators": 60, "cointerval": 60, "betti": 20, "verify": 20, "weights": 10_000}
 
 
 class _Output:
@@ -86,31 +78,28 @@ class _Output:
 
 
 def _parse_blocks(text: str) -> tuple[int, ...]:
-    """Comma-separated block sizes, each plain ASCII digits; whitespace around
-    a part is allowed, an empty part is not."""
+    """Comma-separated block sizes, each plain ASCII digits within int()'s
+    digit limit; whitespace around a part is allowed, an empty part is not."""
     parts = [p.strip() for p in text.split(",")]
-    if not all(p.isascii() and p.isdigit() for p in parts):
-        raise ValueError(f"cannot parse --blocks {text!r}: expected e.g. 2,3,2")
-    return tuple(int(p) for p in parts)
+    if all(p.isascii() and p.isdigit() for p in parts):
+        with suppress(ValueError):  # a part past int()'s digit limit
+            return tuple(int(p) for p in parts)
+    raise ValueError(f"cannot parse --blocks {text!r}: expected e.g. 2,3,2")
 
 
-def _parts(
-    args, limit_name: Optional[str] = None, limit: int = 0, unit: str = "generators"
-) -> tuple[int, ...]:
+def _parts(args) -> tuple[int, ...]:
     """The composition given by --blocks and --n, checked without building a
-    BlockStructure.  Given limit_name, refuse with TooLargeError more than
-    limit generators of the matching ideal, or more than limit columns when
-    unit is "columns"; that reads only n = sum(parts), so it runs before any
-    column table or triple is built."""
+    BlockStructure; TooLargeError past the command's MAX_COLUMNS entry, which
+    reads only n = sum(parts), so it runs before any column table is built."""
     if args.blocks is None and args.n is None:
         raise ValueError("provide --blocks and/or --n")
     parts = _composition(_parse_blocks(args.blocks) if args.blocks is not None else (args.n,))
     n = sum(parts)
     if args.n is not None and n != args.n:
-        raise ValueError(f"--n {args.n} contradicts --blocks summing to {n}")
-    count = n if unit == "columns" else comb(n, 3)
-    if limit_name is not None and count > limit:
-        raise TooLargeError(f"{count} {unit} exceeds the {args.command} limit {limit_name}={limit}")
+        raise ValueError(f"--n {args.n} contradicts --blocks summing to {_format_count(n)}")
+    limit = MAX_COLUMNS.get(args.command)
+    if limit is not None and n > limit:
+        raise TooLargeError(f"{_format_count(n)} columns exceeds the {args.command} limit of {limit} columns")
     return parts
 
 
@@ -123,7 +112,7 @@ def _input_dict(a: Optional[BlockStructure], n: Optional[int], w0: Optional[int]
 
 
 def _cmd_generators(args) -> _Output:
-    a = BlockStructure(_parts(args, "MAX_GENERATORS", MAX_GENERATORS))
+    a = BlockStructure(_parts(args))
     n = a.n
     gens = [
         {"columns": list(t.subset()), "triple": [t.x, t.y, t.z], "monomial": str(t)}
@@ -139,7 +128,7 @@ def _cmd_generators(args) -> _Output:
 
 
 def _cmd_weights(args) -> _Output:
-    a = BlockStructure(_parts(args, "MAX_WEIGHT_COLUMNS", MAX_WEIGHT_COLUMNS, "columns"))
+    a = BlockStructure(_parts(args))
     n = a.n
     order = weight_matrix(a, args.w0)
     by_family = {
@@ -170,7 +159,7 @@ def _at_least(value: int, least: int, name: str) -> int:
 def _cmd_verify(args) -> _Output:
     if args.budget is not None:
         _at_least(args.budget, 0, "--budget")
-    a = BlockStructure(_parts(args, "MAX_VERIFY_MINORS", MAX_VERIFY_MINORS))
+    a = BlockStructure(_parts(args))
     report = verify_theorem_main(
         a,
         w0=args.w0,
@@ -200,7 +189,7 @@ def _cmd_verify(args) -> _Output:
 
 
 def _cmd_betti(args) -> _Output:
-    a = BlockStructure(_parts(args, "MAX_BETTI_GENERATORS", MAX_BETTI_GENERATORS))
+    a = BlockStructure(_parts(args))
     n = a.n
     triples = sort_generators(a)
     sets, failure = _colon_sets(*_pack_triples(triples, n))
@@ -234,7 +223,7 @@ def _cmd_betti(args) -> _Output:
 
 
 def _cmd_cointerval(args) -> _Output:
-    a = BlockStructure(_parts(args, "MAX_GENERATORS", MAX_GENERATORS))
+    a = BlockStructure(_parts(args))
     layers, f, g = _cointerval_inputs(a)
     ok, witness = is_cointerval(g)
     edges = g.sorted_edges()

@@ -185,6 +185,14 @@ def _fibres(
 KERNEL_BUDGET = 500_000
 
 
+def _format_count(x: int, exact: bool = True) -> str:
+    """x for a refusal, "at least x" if only a bound, and past 10 000 bits the exact
+    bound "at least 2^k", k = x.bit_length() - 1: str() stops at 4 300 digits."""
+    if x.bit_length() > 10_000:
+        return f"at least 2^{x.bit_length() - 1}"
+    return str(x) if exact else f"at least {x}"
+
+
 def _check_size(s: int, low: int, high: int, budget: int) -> None:
     """The module's size rule: degrees low..high over s Pluecker variables hold
     comb(s + high, s) - comb(s + low - 1, s) monomials (hockey stick), at most
@@ -197,8 +205,8 @@ def _check_size(s: int, low: int, high: int, budget: int) -> None:
     k = 2 if s == 1 else counted
     total = comb(counted + high, k) - comb(counted + low - 1, k)
     if total > budget:
-        bound = "" if counted == s else "at least "
-        found = f"read {total} indices" if s == 1 else f"have {bound}{total} monomials"
+        total = _format_count(total, exact=counted == s)
+        found = f"read {total} indices" if s == 1 else f"have {total} monomials"
         raise TooLargeError(f"degrees {low} to {high} {found}, over the budget of {budget}")
 
 

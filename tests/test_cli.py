@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, golden outputs."""
 
+import argparse
 import csv
 import inspect
 import io
@@ -11,6 +12,7 @@ import sys
 from collections import Counter
 from math import comb
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -178,10 +180,11 @@ def test_betti_size_guard_is_on_by_default(capsys):
     code, out, _ = run(capsys, "betti", "--n", "20", "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["betti"] == list(betti_diagonal_table(20))
-    for n, generators in [(21, 1330), (30, 4060)]:
+    assert cli.MAX_COLUMNS["betti"] == 20
+    for n in (21, 30):
         code, out, err = run(capsys, "betti", "--n", str(n))
         assert code == 2 and out == ""
-        assert f"{generators} generators" in err and "MAX_BETTI_GENERATORS=1140" in err
+        assert err == f"error: {n} columns exceeds the betti limit of 20 columns\n"
 
 
 def assert_betti_packs_the_triples_as_the_certificate_does(capsys, n):
@@ -262,9 +265,9 @@ def test_betti_below_three_columns_exits_two(capsys):
 
 
 def test_verify_size_guard_sits_at_its_limit(capsys, monkeypatch):
-    """One column past MAX_VERIFY_MINORS, verify exits 2 before any minor is
-    built."""
-    assert cli.MAX_VERIFY_MINORS == comb(20, 3)
+    """One column past its MAX_COLUMNS entry, verify exits 2 before any minor
+    is built."""
+    assert cli.MAX_COLUMNS["verify"] == 20
 
     def refuse(*args, **kwargs):
         raise AssertionError("the minors were built")
@@ -272,20 +275,20 @@ def test_verify_size_guard_sits_at_its_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_theorem_main", refuse)
     code, out, err = run(capsys, "verify", "--n", "21")
     assert code == 2 and out == ""
-    assert err == "error: 1330 generators exceeds the verify limit MAX_VERIFY_MINORS=1140\n"
+    assert err == "error: 21 columns exceeds the verify limit of 20 columns\n"
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "MAX_VERIFY_MINORS", comb(6, 3))
+    monkeypatch.setitem(cli.MAX_COLUMNS, "verify", 6)
     assert run(capsys, "verify", "--n", "6")[0] == 0
     code, out, err = run(capsys, "verify", "--n", "7")
     assert code == 2 and out == ""
-    assert "MAX_VERIFY_MINORS=20" in err
+    assert err == "error: 7 columns exceeds the verify limit of 6 columns\n"
 
 
 @pytest.mark.parametrize("command", ["generators", "cointerval"])
 def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
-    """At MAX_GENERATORS the command runs; one generator more, it exits 2
+    """At its MAX_COLUMNS entry the command runs; one column more, it exits 2
     before any triple is built."""
-    assert cli.MAX_GENERATORS == comb(60, 3)
+    assert cli.MAX_COLUMNS[command] == 60
 
     class Reached(Exception):
         pass
@@ -299,10 +302,10 @@ def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
         main([command, "--n", "60"])
     code, out, err = run(capsys, command, "--n", "61")
     assert code == 2 and out == ""
-    assert err == f"error: 35990 generators exceeds the {command} limit MAX_GENERATORS=34220\n"
+    assert err == f"error: 61 columns exceeds the {command} limit of 60 columns\n"
     monkeypatch.undo()
-    for limit, want in [(comb(7, 3), 0), (comb(7, 3) - 1, 2)]:
-        monkeypatch.setattr(cli, "MAX_GENERATORS", limit)
+    for limit, want in [(7, 0), (6, 2)]:
+        monkeypatch.setitem(cli.MAX_COLUMNS, command, limit)
         code, out, err = run(capsys, command, "--n", "7")
         assert code == want, limit
         assert (out == "") == (want == 2)
@@ -372,10 +375,10 @@ def test_kernel_sizes_a_huge_dmax_with_small_binomials(capsys, monkeypatch):
 
 
 LIMIT_ERRORS = {
-    "generators": "35990 generators exceeds the generators limit MAX_GENERATORS=34220",
-    "cointerval": "35990 generators exceeds the cointerval limit MAX_GENERATORS=34220",
-    "betti": "1330 generators exceeds the betti limit MAX_BETTI_GENERATORS=1140",
-    "verify": "1330 generators exceeds the verify limit MAX_VERIFY_MINORS=1140",
+    "generators": "61 columns exceeds the generators limit of 60 columns",
+    "cointerval": "61 columns exceeds the cointerval limit of 60 columns",
+    "betti": "21 columns exceeds the betti limit of 20 columns",
+    "verify": "21 columns exceeds the verify limit of 20 columns",
     "kernel": "degrees 1 to 1 have 551300 monomials, over the budget of 500000",
 }
 
@@ -413,20 +416,144 @@ def test_weights_size_guard_runs_before_the_block_structure_is_built(capsys, mon
     def refuse(parts):
         raise AssertionError(f"BlockStructure({parts}) was built")
 
-    assert cli.MAX_WEIGHT_COLUMNS == 10_000
+    assert cli.MAX_COLUMNS["weights"] == 10_000
     monkeypatch.setattr(cli, "BlockStructure", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: 10001 columns exceeds the weights limit MAX_WEIGHT_COLUMNS=10000\n"
+    assert err == "error: 10001 columns exceeds the weights limit of 10000 columns\n"
     code, out, err = run(capsys, "weights", "--n", "10000000")
     assert code == 2 and out == ""
-    assert err == "error: 10000000 columns exceeds the weights limit MAX_WEIGHT_COLUMNS=10000\n"
+    assert err == "error: 10000000 columns exceeds the weights limit of 10000 columns\n"
     monkeypatch.undo()
     for limit, want in [(7, 0), (6, 2)]:
-        monkeypatch.setattr(cli, "MAX_WEIGHT_COLUMNS", limit)
+        monkeypatch.setitem(cli.MAX_COLUMNS, "weights", limit)
         code, out, _ = run(capsys, "weights", "--n", "7")
         assert code == want, limit
         assert (out == "") == (want == 2)
+
+
+@pytest.mark.parametrize("command, limit", sorted(cli.MAX_COLUMNS.items()))
+def test_each_block_command_runs_at_its_column_limit_and_refuses_one_more(
+    capsys, monkeypatch, command, limit
+):
+    """At n = limit, by --n or by --blocks, the command gets past its guard to
+    BlockStructure; one column more, it exits 2 before that."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(parts):
+        raise Reached
+
+    monkeypatch.setattr(cli, "BlockStructure", reached)
+    half = limit // 2
+    for at, over in [
+        (["--n", str(limit)], ["--n", str(limit + 1)]),
+        (["--blocks", f"{half},{limit - half}"], ["--blocks", f"{half},{limit - half + 1}"]),
+    ]:
+        with pytest.raises(Reached):
+            main([command, *at])
+        code, out, err = run(capsys, command, *over)
+        assert code == 2 and out == ""
+        assert err == f"error: {limit + 1} columns exceeds the {command} limit of {limit} columns\n"
+
+
+# The rule the column table replaced: more generators C(n, 3) than the matching
+# ideal has at n = 60 (generators, cointerval) or n = 20 (betti, verify), or
+# more than 10 000 columns (weights).
+OLD_REFUSES = {
+    "generators": lambda n: comb(n, 3) > comb(60, 3),
+    "cointerval": lambda n: comb(n, 3) > comb(60, 3),
+    "betti": lambda n: comb(n, 3) > comb(20, 3),
+    "verify": lambda n: comb(n, 3) > comb(20, 3),
+    "weights": lambda n: n > 10_000,
+}
+
+
+@pytest.mark.parametrize("command", sorted(OLD_REFUSES))
+def test_the_column_table_refuses_exactly_where_the_generator_counts_did(command):
+    ns = [*range(1, 71), *(range(9_990, 10_011) if command == "weights" else ())]
+    for n in ns:
+        args = argparse.Namespace(command=command, n=n, blocks=None)
+        try:
+            cli._parts(args)
+            refused = False
+        except TooLargeError:
+            refused = True
+        assert refused == OLD_REFUSES[command](n), (command, n)
+
+
+HUGE = 10**1500
+PAST_INT_DIGITS = "9" * 4301  # one digit more than int() reads by default
+TWO_PARTS = ",".join(["9" * 4300] * 2)  # each part readable, their sum not printable
+
+
+def power_of_two_below(x):
+    return f"at least 2^{x.bit_length() - 1}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            pytest.param(
+                [command, "--n", str(HUGE)],
+                f"{HUGE} columns exceeds the {command} limit of {limit} columns",
+                id=f"{command}-huge-n",
+            )
+            for command, limit in sorted(cli.MAX_COLUMNS.items())
+        ),
+        pytest.param(
+            ["kernel", "--n", str(HUGE), "--dmax", "1"],
+            "degrees 1 to 1 have at least 2^14946 monomials, over the budget of 500000",
+            id="kernel-huge-n",
+        ),
+        pytest.param(
+            ["kernel", "--n", "150", "--dmax", str(HUGE)],
+            f"degrees 1 to {HUGE} have {power_of_two_below(comb(20 + HUGE, 20) - 1)} "
+            "monomials, over the budget of 500000",
+            id="kernel-huge-dmax-bounded",
+        ),
+        pytest.param(
+            ["kernel", "--n", "3", "--dmax", str(HUGE**2)],
+            f"degrees 1 to {HUGE**2} read {power_of_two_below(comb(HUGE**2 + 1, 2))} "
+            "indices, over the budget of 500000",
+            id="kernel-huge-dmax-one-variable",
+        ),
+        pytest.param(
+            ["betti", "--blocks", PAST_INT_DIGITS],
+            f"cannot parse --blocks '{PAST_INT_DIGITS}': expected e.g. 2,3,2",
+            id="betti-part-past-int-digits",
+        ),
+        pytest.param(
+            ["weights", "--blocks", TWO_PARTS],
+            f"{power_of_two_below(2 * (10**4300 - 1))} columns exceeds the weights limit "
+            "of 10000 columns",
+            id="weights-two-huge-parts",
+        ),
+        pytest.param(
+            ["kernel", "--blocks", TWO_PARTS],
+            f"degrees 1 to 2 have {power_of_two_below(comb(comb(2 * (10**4300 - 1), 3) + 2, 2) - 1)}"
+            " monomials, over the budget of 500000",
+            id="kernel-two-huge-parts",
+        ),
+        pytest.param(
+            ["verify", "--blocks", TWO_PARTS, "--n", "5"],
+            f"--n 5 contradicts --blocks summing to {power_of_two_below(2 * (10**4300 - 1))}",
+            id="verify-two-huge-parts-contradict-n",
+        ),
+    ],
+)
+def test_no_refusal_prints_a_number_str_cannot(capsys, argv, message):
+    """Counts past str()'s 4 300 digits are refused at once in the command's
+    own words: past 10 000 bits a refusal names a count x as at least 2^k,
+    k = x.bit_length() - 1."""
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert "4300 digits" not in err
 
 
 def test_kernel_at_three_columns_caps_the_sum_of_its_degrees(capsys, monkeypatch):

@@ -206,6 +206,26 @@ def test_the_size_rule_counts_the_degrees_together_in_closed_form():
                     ), (s, low, high)
 
 
+def test_a_refusal_prints_counts_to_10000_bits_and_bounds_larger_ones():
+    """At degree 1 over s variables the count is s: 2^10000 - 1 prints in full,
+    all 3 011 digits, and 2^10000 as the power of two it is at least; the
+    lower bound keeps one "at least"."""
+    full = 2**10_000 - 1
+    assert _refusal(full, 1, 1, 500_000) == (
+        f"degrees 1 to 1 have {full} monomials, over the budget of 500000"
+    )
+    assert len(str(full)) == 3011
+    assert _refusal(2**10_000, 1, 1, 500_000) == (
+        "degrees 1 to 1 have at least 2^10000 monomials, over the budget of 500000"
+    )
+    assert _refusal(1, 1, 2**10_000, 0) == (
+        f"degrees 1 to {2**10_000} read at least 2^19999 indices, over the budget of 0"
+    )
+    assert _refusal(2**10_000, 1, 1, 1) == (
+        "degrees 1 to 1 have at least 2 monomials, over the budget of 1"
+    )
+
+
 def test_the_size_rule_decides_as_the_exact_total_where_it_bounds_it():
     """Where the range reaches degree a = budget.bit_length() the rule counts
     a + 1 variables only; it refuses exactly when the exact total is over the
