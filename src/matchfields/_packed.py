@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Collection, Hashable, Iterable
 
-from .algebra import Monomial
+from .algebra import FAMILIES, Monomial, VariableId
 
 
 class Layout:
@@ -47,6 +47,15 @@ class Layout:
             keep = t & guards
             out.append(t & (keep - (keep >> bits)))
         return out
+
+
+def pack_triples(triples: Iterable, n: int, bound: int) -> tuple[Layout, list[int]]:
+    """A Layout over x_1..x_n, y_1..y_n, z_1..z_n for bound and each GeneratorTriple
+    packed in it as x_x * y_y * z_z, the sum of its three units, with no Monomial
+    built; a product of at most bound triples packs as the sum of their codes."""
+    layout = Layout([VariableId(f, c) for f in FAMILIES for c in range(1, n + 1)], bound)
+    x, y, z = ([1 << layout.offset[VariableId(f, c)] for c in range(1, n + 1)] for f in FAMILIES)
+    return layout, [x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
 
 
 def pack_minimal(gens: Collection[Monomial]) -> tuple[Layout, list[int]]:

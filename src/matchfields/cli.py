@@ -34,14 +34,13 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import __version__
+from ._packed import pack_triples
 from .algebra import VariableId, xvar
 from .cellular import _cointerval_inputs, is_cointerval
 from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
-from .matching import BlockStructure, _composition, sort_generators, weight_matrix
-from .resolution import (
-    _colon_sets, _pack_triples, betti_from_variable_sets, linear_quotients_certificate
-)
+from .matching import BlockStructure, _composition, generator_triples, sort_generators, weight_matrix
+from .resolution import _colon_sets, betti_from_variable_sets, linear_quotients_certificate
 from .toric import (
     KERNEL_BUDGET,
     _check_size,
@@ -49,8 +48,6 @@ from .toric import (
     _format_exponents,
     _index_label,
     _kernel_and_flatness,
-    _plucker_names,
-    plucker_map_from_matching_field,
     plucker_quadric_gr24,
     plucker_variable_name,
 )
@@ -64,8 +61,10 @@ MAX_PRINTED_BINOMIALS = 200
 
 # Column limits: verify and betti grow fast in their C(n, 3) minors or
 # generators, generators and cointerval print and tabulate them, and weights
-# grows linearly (--n 10000 takes 0.3 s and 34 MiB as a process).
+# grows linearly (--n 10000 takes 0.3 s and 34 MiB as a process).  weights and
+# verify also cap --w0, since verify's packed weight fields widen with its digits.
 MAX_COLUMNS = {"generators": 60, "cointerval": 60, "betti": 20, "verify": 20, "weights": 10_000}
+MAX_W0 = 2**32
 
 
 class _Output:
@@ -90,7 +89,8 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
 def _parts(args) -> tuple[int, ...]:
     """The composition given by --blocks and --n, checked without building a
     BlockStructure; TooLargeError past the command's MAX_COLUMNS entry, which
-    reads only n = sum(parts), so it runs before any column table is built."""
+    reads only n = sum(parts), so it runs before any column table is built,
+    or past MAX_W0 for a command with --w0."""
     if args.blocks is None and args.n is None:
         raise ValueError("provide --blocks and/or --n")
     parts = _composition(_parse_blocks(args.blocks) if args.blocks is not None else (args.n,))
@@ -100,6 +100,8 @@ def _parts(args) -> tuple[int, ...]:
     limit = MAX_COLUMNS.get(args.command)
     if limit is not None and n > limit:
         raise TooLargeError(f"{_format_count(n)} columns exceeds the {args.command} limit of {limit} columns")
+    if getattr(args, "w0", 1) > MAX_W0:
+        raise TooLargeError(f"--w0 {_format_count(args.w0)} exceeds the limit of {MAX_W0}")
     return parts
 
 
@@ -192,7 +194,7 @@ def _cmd_betti(args) -> _Output:
     a = BlockStructure(_parts(args))
     n = a.n
     triples = sort_generators(a)
-    sets, failure = _colon_sets(*_pack_triples(triples, n))
+    sets, failure = _colon_sets(*pack_triples(triples, n, 1))
     result = {
         "linear_quotients": failure is None,
         "set_sizes": [len(s) for s in sets],
@@ -261,11 +263,12 @@ def _cmd_kernel(args) -> _Output:
     parts = _parts(args)
     _check_size(comb(sum(parts), 3), 1, args.dmax, args.budget)
     a = BlockStructure(parts)
-    pmap = plucker_map_from_matching_field(a)
-    names = _plucker_names(pmap)
+    triples = generator_triples(a)  # raises TooSmallError when n < 3
+    names = [plucker_variable_name(t.subset()) for t in triples]
+    codes = pack_triples(triples, a.n, args.dmax)[1]
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
-    kernel, flat = _kernel_and_flatness(pmap, 3, a.n, args.dmax, MAX_PRINTED_BINOMIALS)
+    kernel, flat = _kernel_and_flatness(codes, 3, a.n, args.dmax, MAX_PRINTED_BINOMIALS)
     for ks in kernel:
         entry = {
             "degree": ks.degree,

@@ -27,7 +27,7 @@ from math import comb
 from typing import Collection, Iterable, Optional, Sequence
 
 from ._packed import Layout, pack_minimal
-from .algebra import FAMILIES, Monomial, VariableId, xvar, yvar, zvar
+from .algebra import Monomial, VariableId, xvar, yvar, zvar
 from .errors import NotLinearQuotientsError, TooLargeError
 from .linalg import rational_rank
 from .matching import GeneratorTriple, MonomialIdeal
@@ -147,14 +147,6 @@ def _colon_sets(
             return tuple(sets), j
         sets.append(frozenset(variables))
     return tuple(sets), None
-
-
-def _pack_triples(triples: Iterable[GeneratorTriple], n: int) -> tuple[Layout, list[int]]:
-    """A Layout over the 3n variables and each triple packed in it as
-    x_x * y_y * z_z, the sum of its three units, with no Monomial built."""
-    layout = Layout([VariableId(f, c) for f in FAMILIES for c in range(1, n + 1)], 1)
-    x, y, z = ([1 << layout.offset[VariableId(f, c)] for c in range(1, n + 1)] for f in FAMILIES)
-    return layout, [x[t.x - 1] + y[t.y - 1] + z[t.z - 1] for t in triples]
 
 
 def betti_from_variable_sets(sets: Sequence[frozenset[VariableId]]) -> BettiTable:

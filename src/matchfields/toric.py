@@ -9,14 +9,16 @@ in each degree <= dmax.  One rule sizes every request from the number s of
 Pluecker variables alone: the requested degrees may have at most budget
 monomials together, and at s = 1 their d-tuples read at most budget indices.
 
-The slices work on integer image codes: each image's exponent vector is
-packed into one int, with fields wide enough that a product of d images
-never carries, so the code of a product is the sum of its factors' codes
-and equal codes mean equal images.  Lower degrees reach the binomials
-m u - m' u of a fibre, whose sides share a Pluecker variable u (m - m' is in
-the kernel too), and no others: new generators need no lower fibres.  Each
-fibre keeps its one member or else its classes (members joined by shared
-variables), and its members only for binomials that are built.
+The slices read integer image codes alone, packed from a PluckerMap by
+_image_codes or from a matching field's triples by _packed.pack_triples:
+each image's exponent vector is one int, with fields wide enough that a
+product of up to dmax images never carries, so a product's code is the sum
+of its factors' codes and equal codes mean equal images.  Lower degrees
+reach the binomials m u - m' u of a fibre, whose sides share a Pluecker
+variable u (m - m' is in the kernel too), and no others: new generators
+need no lower fibres.  Each fibre keeps its one member or else its classes
+(members joined by shared variables), and its members only for binomials
+that are built.
 """
 
 from __future__ import annotations
@@ -118,13 +120,13 @@ def image_monomial(pmap: PluckerMap, exponents: Mapping[Subset, int]) -> Monomia
 
 
 def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
-    """Each image's exponent vector packed into one int, fit for degree d.
+    """Each image's exponent vector packed into one int, fit for degrees <= d.
 
     Every image variable gets a field of (d * max image exponent).bit_length()
-    + 1 bits, which holds any of its exponents in a product of d images.  So
-    no carry happens: the code of a product is the sum of its factors' codes,
-    and two products of degree d have equal images exactly when their codes
-    are equal.
+    + 1 bits, which holds any of its exponents in a product of at most d
+    images.  So no carry happens: the code of a product is the sum of its
+    factors' codes, and two products of one degree <= d have equal images
+    exactly when their codes are equal.
     """
     variables = sorted({v for m in pmap.images for v in m.variables()})
     top = max((e for m in pmap.images for _, e in m.items()), default=0)
@@ -133,26 +135,27 @@ def _image_codes(pmap: PluckerMap, d: int) -> list[int]:
 
 
 def _fibres(
-    pmap: PluckerMap, d: int, max_binomials: Optional[int]
+    codes: list[int], d: int, max_binomials: Optional[int]
 ) -> tuple[dict[int, Held], Optional[Members]]:
     """The degree-d Pluecker monomials grouped by image code, in one pass.
 
-    A member is the sorted tuple of its factors' variable indices.  A code
-    holds its fibre's one member until a second arrives, then the fibre's
-    classes: the support bitmasks of members joined as their supports meet,
-    an int for one class and a list for several.  The members of larger
-    fibres are kept too while the non-root members (members less fibres)
-    number at most max_binomials (always when it is None), then dropped for
-    good.  Members come in combinations_with_replacement order, which is
-    descending order of their exponent tuples, so a fibre's last is its least.
+    The codes are packed fit for degree d, and a member is the sorted tuple
+    of its factors' indices into them.  A code holds its fibre's one member
+    until a second arrives, then the fibre's classes: the support bitmasks of
+    members joined as their supports meet, an int for one class and a list
+    for several.  The members of larger fibres are kept too while the
+    non-root members (members less fibres) number at most max_binomials
+    (always when it is None), then dropped for good.  Members come in
+    combinations_with_replacement order, which is descending order of their
+    exponent tuples, so a fibre's last is its least.
     """
-    s = len(pmap.source)
-    codes = map(sum, combinations_with_replacement(_image_codes(pmap, d), d))
+    s = len(codes)
+    products = map(sum, combinations_with_replacement(codes, d))
     bits: list[int] = []  # 1 << i, built at the first repeated code
     fibres: dict[int, Held] = {}
     members: Optional[Members] = {}
     extra = 0
-    for combo, code in zip(combinations_with_replacement(range(s), d), codes):
+    for combo, code in zip(combinations_with_replacement(range(s), d), products):
         held = fibres.get(code)
         if held is None:
             fibres[code] = combo
@@ -268,16 +271,13 @@ def kernel_slice(pmap: PluckerMap, d: int, budget: int = KERNEL_BUDGET) -> Kerne
     if type(d) is not int or d < 1:
         raise ValueError(f"degree must be an integer of at least 1, got {d!r}")
     _check_size(len(pmap.source), d, d, budget)
-    return _slice(pmap, d, *_fibres(pmap, d, None))
+    return _slice(len(pmap.source), d, *_fibres(_image_codes(pmap, d), d, None))
 
 
-def _slice(
-    pmap: PluckerMap, d: int, fibres: dict[int, Held], members: Optional[Members]
-) -> KernelSlice:
-    """The degree-d slice from the degree-d fibres alone: lower degrees join
-    two members of a fibre exactly when they share a Pluecker variable.  The
+def _slice(s: int, d: int, fibres: dict[int, Held], members: Optional[Members]) -> KernelSlice:
+    """The degree-d slice over s Pluecker variables from its fibres alone: lower
+    degrees join two members of a fibre exactly when they share a variable.  The
     binomials are built when _fibres kept the members, and are None if not."""
-    s = len(pmap.source)
     return KernelSlice(
         degree=d,
         dimension=comb(s + d - 1, d) - len(fibres),
@@ -325,9 +325,8 @@ def flatness_check(
         raise ValueError(f"dmax must be a nonnegative integer, got {dmax!r}")
     _check_size(len(pmap.source), 1, dmax, budget)
     # Only the number of distinct images counts, so no fibre is built.
-    sizes = [1]
-    for d in range(1, dmax + 1):
-        sizes.append(len(set(map(sum, combinations_with_replacement(_image_codes(pmap, d), d)))))
+    codes = _image_codes(pmap, dmax)
+    sizes = [len(set(map(sum, combinations_with_replacement(codes, d)))) for d in range(dmax + 1)]
     return _flatness(k, n, sizes)
 
 
@@ -338,16 +337,16 @@ def _flatness(k: int, n: int, sizes: Iterable[int]) -> FlatnessReport:
 
 
 def _kernel_and_flatness(
-    pmap: PluckerMap, k: int, n: int, dmax: int, max_binomials: Optional[int]
+    codes: list[int], k: int, n: int, dmax: int, max_binomials: Optional[int]
 ) -> tuple[list[KernelSlice], FlatnessReport]:
-    """kernel_slice for d = 1..dmax and flatness_check to dmax, building
-    each degree's fibres once, and the binomials of a slice only when it
-    has at most max_binomials of them (all of them when it is None)."""
+    """kernel_slice for d = 1..dmax and flatness_check to dmax, on codes packed
+    fit for degree dmax, building each degree's fibres once, and the binomials
+    of a slice only when it has at most max_binomials of them (all if None)."""
     slices = []
     sizes = [1]
     for d in range(1, dmax + 1):
-        fibres, members = _fibres(pmap, d, max_binomials)
-        slices.append(_slice(pmap, d, fibres, members))
+        fibres, members = _fibres(codes, d, max_binomials)
+        slices.append(_slice(len(codes), d, fibres, members))
         sizes.append(len(fibres))
     return slices, _flatness(k, n, sizes)
 
@@ -361,11 +360,6 @@ def plucker_variable_name(subset: Subset) -> str:
     return "p" + _index_label(subset)
 
 
-def _plucker_names(pmap: PluckerMap) -> list[str]:
-    """The name of each Pluecker variable of the map, in source order."""
-    return [plucker_variable_name(sub) for sub in pmap.source]
-
-
 def _format_exponents(names: list[str], exponents: Exponents) -> str:
     """The monomial with these exponents over names, from its positive entries."""
     parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e > 0]
@@ -373,7 +367,7 @@ def _format_exponents(names: list[str], exponents: Exponents) -> str:
 
 
 def format_plucker_exponents(pmap: PluckerMap, exponents: Exponents) -> str:
-    return _format_exponents(_plucker_names(pmap), exponents)
+    return _format_exponents([plucker_variable_name(sub) for sub in pmap.source], exponents)
 
 
 def plucker_quadric_gr24() -> Polynomial:

@@ -16,6 +16,7 @@ from time import perf_counter
 
 import pytest
 
+import matchfields._packed as _packed
 import matchfields.cellular as cellular
 import matchfields.cli as cli
 import matchfields.matching as matching
@@ -195,7 +196,7 @@ def assert_betti_packs_the_triples_as_the_certificate_does(capsys, n):
         ts = sort_generators(BlockStructure(parts))
         cert = linear_quotients_certificate([t.monomial(n) for t in ts])
         assert cert.is_linear, parts
-        assert resolution._colon_sets(*resolution._pack_triples(ts, n)) == (cert.sets, None)
+        assert resolution._colon_sets(*_packed.pack_triples(ts, n, 1)) == (cert.sets, None)
         code, out, _ = run(capsys, "betti", "--blocks", ",".join(map(str, parts)), "--format", "json")
         result = json.loads(out)["result"]
         assert code == 0 and result["linear_quotients"] is True, parts
@@ -237,7 +238,7 @@ def test_the_packed_loop_stops_where_the_certificate_fails():
     cert = linear_quotients_certificate([t.monomial(6) for t in order])
     assert cert.first_failure == (17, Monomial.of(6, yvar(2), zvar(3)))
     assert len(cert.sets) == 17
-    assert resolution._colon_sets(*resolution._pack_triples(order, 6)) == (cert.sets, 17)
+    assert resolution._colon_sets(*_packed.pack_triples(order, 6, 1)) == (cert.sets, 17)
 
 
 def test_betti_prints_the_certificate_witness_on_a_planted_order(capsys, monkeypatch):
@@ -311,14 +312,38 @@ def test_generator_size_guard_sits_at_its_limit(capsys, monkeypatch, command):
         assert (out == "") == (want == 2)
 
 
+@pytest.mark.parametrize("command", ["weights", "verify"])
+def test_w0_runs_at_its_cap_and_is_refused_above_it(capsys, monkeypatch, command):
+    """Above MAX_W0, weights and verify exit 2 before any BlockStructure is
+    built, and no count is printed past str()'s digit limit."""
+    assert cli.MAX_W0 == 2**32
+    code, out, err = run(capsys, command, "--n", "4", "--w0", str(2**32))
+    assert (code, err) == (0, "") and out
+
+    class Reached(Exception):
+        pass
+
+    def reached(parts):
+        raise Reached
+
+    monkeypatch.setattr(cli, "BlockStructure", reached)
+    code, out, err = run(capsys, command, "--n", "4", "--w0", str(2**32 + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --w0 {2**32 + 1} exceeds the limit of {2**32}\n"
+    code, out, err = run(capsys, command, "--n", "4", "--w0", "9" * 4300)
+    assert (code, out) == (2, "")
+    assert err == "error: --w0 at least 2^14284 exceeds the limit of 4294967296\n"
+    assert "digits" not in err
+
+
 def test_kernel_refuses_an_over_budget_degree_before_building_the_map(capsys, monkeypatch):
     """The budget caps the monomials of degrees 1 to dmax together: at n = 12
     they are 220 + 24310 + 1798940."""
 
     def refuse(a):
-        raise AssertionError("the Pluecker map was built")
+        raise AssertionError("the generator triples were built")
 
-    monkeypatch.setattr(cli, "plucker_map_from_matching_field", refuse)
+    monkeypatch.setattr(cli, "generator_triples", refuse)
     code, out, err = run(capsys, "kernel", "--n", "150", "--dmax", "1")
     assert code == 2 and out == ""
     assert err == "error: degrees 1 to 1 have 551300 monomials, over the budget of 500000\n"
@@ -808,13 +833,29 @@ def test_kernel_json_n8_to_degree_three(capsys):
     assert result["flatness_ok"] is True
 
 
+def test_kernel_builds_no_monomial_and_no_pluecker_map(capsys, monkeypatch):
+    """kernel packs the generator triples straight into image codes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monomial or a Pluecker map was built")
+
+    monkeypatch.setattr(GeneratorTriple, "monomial", refuse)
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    monkeypatch.setattr(toric, "plucker_map_from_matching_field", refuse)
+    code, out, _ = run(capsys, "kernel", "--n", "8", "--dmax", "3", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert [e["new_minimal_generators"] for e in result["slices"]] == [0, 420, 0]
+    assert result["flatness_ok"] is True
+
+
 def test_kernel_builds_each_degree_once(capsys, monkeypatch):
     calls = []
     fibres = toric._fibres
 
-    def counted(pmap, d, max_binomials):
+    def counted(codes, d, max_binomials):
         calls.append(d)
-        return fibres(pmap, d, max_binomials)
+        return fibres(codes, d, max_binomials)
 
     monkeypatch.setattr(toric, "_fibres", counted)
     code, _, _ = run(capsys, "kernel", "--blocks", "2,2", "--dmax", "3")
@@ -877,17 +918,22 @@ def kernel_result_from_kernel_slice(parts, dmax):
     }
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_kernel_json_equals_the_result_rebuilt_from_kernel_slice(capsys, n):
+@pytest.mark.parametrize(
+    "n, dmax", [(4, 3), (5, 3), (6, 3), (5, 5)], ids=["4", "5", "6", "5-dmax5"]
+)
+def test_kernel_json_equals_the_result_rebuilt_from_kernel_slice(capsys, n, dmax):
+    """On every composition of n.  Degree 5 puts an exponent of 4 or 5 in a
+    field, where codes packed for a lower degree carry into the next field."""
     listed = set()
     for parts in compositions(n):
         blocks = ",".join(map(str, parts))
-        code, out, _ = run(capsys, "kernel", "--blocks", blocks, "--dmax", "3", "--format", "json")
+        argv = ["kernel", "--blocks", blocks, "--dmax", str(dmax), "--format", "json"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         result = json.loads(out)["result"]
-        assert result == kernel_result_from_kernel_slice(parts, 3), parts
+        assert result == kernel_result_from_kernel_slice(parts, dmax), parts
         listed.update("binomials" in e for e in result["slices"])
-    assert listed == ({True} if n < 6 else {True, False})
+    assert listed == ({True} if n < 6 and dmax == 3 else {True, False})
 
 
 def test_supports_text_and_json(capsys):

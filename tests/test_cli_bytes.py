@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from matchfields import cli
+from matchfields import GeneratorTriple, Monomial, cli
 from matchfields.cli import _dumps, main
 
 from helpers import all_compositions
@@ -44,6 +44,22 @@ def test_cli_bytes_match_the_golden_file(case):
     """Exact stdout and exit code, byte for byte; the file was written by the
     json.dumps-based CLI, one call per subcommand and format."""
     assert call(case["argv"]) == (case["code"], case["stdout"])
+
+
+def test_golden_block_commands_build_no_monomial(monkeypatch):
+    """Every block command packs its generator triples straight into ints:
+    with Monomial construction refused, each golden case but supports (whose
+    quadric is a Polynomial) still prints its bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monomial was built")
+
+    monkeypatch.setattr(GeneratorTriple, "monomial", refuse)
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    cases = [c for c in golden_cases() if c["argv"][0] != "supports"]
+    assert {c["argv"][0] for c in cases} == set(COMMANDS)
+    for case in cases:
+        assert call(case["argv"]) == (case["code"], case["stdout"]), case["argv"]
 
 
 def walk(x, path="doc"):

@@ -1,11 +1,12 @@
 """The shared packed-exponent layout against dict Monomial arithmetic."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from matchfields import BlockStructure, Monomial, VariableId, weight_matrix
-from matchfields._packed import Layout, pack_minimal
+from matchfields import BlockStructure, Monomial, VariableId, generator_triples, weight_matrix
+from matchfields._packed import Layout, pack_minimal, pack_triples
 from matchfields.algebra import FAMILIES, WeightOrder
 from matchfields.groebner import _Packing
 
@@ -107,3 +108,26 @@ def test_packing_rejects_monomials_past_its_bound():
         assert list(packing.polynomial({packing.pack(m): 1}).monomials()) == [m]
         with pytest.raises(OverflowError):
             _Packing(order, w - 1).pack(m)
+
+
+def test_pack_triples_holds_every_product_up_to_its_bound():
+    """At bound b, the code of each product of at most b triples, repeats
+    included, is the sum of its factors' codes, and its fields read the
+    exponent sums: no field carries into the next."""
+    rng = random.Random(35)
+    for _ in range(60):
+        n, b = rng.randint(3, 8), rng.randint(1, 6)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        parts = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, n]))
+        every = generator_triples(BlockStructure(parts))
+        triples = rng.sample(every, rng.randint(1, min(3, len(every))))
+        layout, codes = pack_triples(triples, n, b)
+        assert layout.variables == tuple(VariableId(f, c) for f in FAMILIES for c in range(1, n + 1))
+        for d in range(b + 1):
+            for product in combinations_with_replacement(range(len(triples)), d):
+                code = sum(codes[i] for i in product)
+                m = Monomial.one(n)
+                for i in product:
+                    m = m * triples[i].monomial(n)
+                assert code == layout.pack(m), (parts, b, product)
+                assert layout.exponents(code) == [m.exponent(v) for v in layout.variables]

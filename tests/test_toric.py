@@ -276,7 +276,7 @@ def test_fibres_builds_no_bit_table_when_no_image_repeats():
     pm = plucker_map_from_matching_field(BlockStructure((40,)))
     tracemalloc.start()
     try:
-        fibres, members = toric._fibres(pm, 1, 200)
+        fibres, members = toric._fibres(toric._image_codes(pm, 1), 1, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,11 +352,11 @@ def test_shared_slices_equal_kernel_slice_and_flatness_check():
     for parts in [(4,), (2, 3), (1, 2, 1, 1)]:
         n = sum(parts)
         pm = plucker_map_from_matching_field(BlockStructure(parts))
-        slices, flat = toric._kernel_and_flatness(pm, 3, n, 3, None)
+        slices, flat = toric._kernel_and_flatness(toric._image_codes(pm, 3), 3, n, 3, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3)], parts
         assert flat == flatness_check(pm, 3, n, 3), parts
     for i, pm in enumerate(random_plucker_maps()):
-        slices, flat = toric._kernel_and_flatness(pm, 2, 5, 4, None)
+        slices, flat = toric._kernel_and_flatness(toric._image_codes(pm, 4), 2, 5, 4, None)
         assert slices == [kernel_slice(pm, d) for d in (1, 2, 3, 4)], i
         assert flat == flatness_check(pm, 2, 5, 4), i
 
@@ -520,16 +520,25 @@ def test_kernel_slice_matches_reference_on_random_maps():
 
 
 def test_kernel_slice_builds_only_its_own_degree(monkeypatch):
-    built = []
-    fibres = toric._fibres
+    """kernel_slice builds its degree's fibres alone, and it and flatness_check
+    each pack the map once, for their top degree."""
+    built, packed = [], []
+    fibres, image_codes = toric._fibres, toric._image_codes
 
-    def counting(pmap, d, max_binomials):
+    def counting(codes, d, max_binomials):
         built.append(d)
-        return fibres(pmap, d, max_binomials)
+        return fibres(codes, d, max_binomials)
+
+    def packing(pmap, d):
+        packed.append(d)
+        return image_codes(pmap, d)
 
     monkeypatch.setattr(toric, "_fibres", counting)
-    kernel_slice(plucker_map_from_matching_field(BlockStructure((2, 3))), 3)
-    assert built == [3]
+    monkeypatch.setattr(toric, "_image_codes", packing)
+    pm = plucker_map_from_matching_field(BlockStructure((2, 3)))
+    kernel_slice(pm, 3)
+    flatness_check(pm, 3, 5, 4)
+    assert built == [3] and packed == [3, 4]
 
 
 def test_repeated_power_map_is_exercised():
@@ -554,7 +563,7 @@ def test_a_third_member_joins_two_classes_that_were_apart():
     codes = toric._image_codes(pm, 3)
     members = [(0, 2, 3), (1, 1, 4), (1, 2, 2)]
     assert {sum(codes[i] for i in m) for m in members} == {codes[0] + codes[2] + codes[3]}
-    fibres, kept = toric._fibres(pm, 3, None)
+    fibres, kept = toric._fibres(codes, 3, None)
     assert kept[codes[0] + codes[2] + codes[3]] == members
     assert fibres[codes[0] + codes[2] + codes[3]] == 0b11111
     assert kernel_slice(pm, 3) == reference_kernel_slice(pm, 3)
@@ -564,7 +573,7 @@ def test_members_that_meet_no_class_stay_apart():
     # Weight 7 in degree 2: p1*p6, p2*p5 and p3*p4, pairwise apart.
     pm = weighted_map((1, 2, 3, 4, 5, 6))
     codes = toric._image_codes(pm, 2)
-    fibres, _ = toric._fibres(pm, 2, None)
+    fibres, _ = toric._fibres(codes, 2, None)
     assert sorted(fibres[codes[0] + codes[5]]) == [0b001100, 0b010010, 0b100001]
     assert fibres[codes[0] + codes[0]] == (0, 0)
     ks = kernel_slice(pm, 2)
@@ -584,19 +593,19 @@ def test_members_are_kept_while_non_roots_number_at_most_max_binomials():
     assert joins and max(joins) < max(opens)
     full = kernel_slice(pm, d)
     assert full.dimension == len(joins) == 5
-    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, full.dimension)
+    slices, _ = toric._kernel_and_flatness(codes, 3, 5, d, full.dimension)
     assert slices[-1] == full
-    slices, _ = toric._kernel_and_flatness(pm, 3, 5, d, full.dimension - 1)
+    slices, _ = toric._kernel_and_flatness(codes, 3, 5, d, full.dimension - 1)
     assert slices[-1].binomials is None
     assert slices[-1].dimension == full.dimension
-    assert toric._fibres(pm, d, 0)[1] is None
+    assert toric._fibres(codes, d, 0)[1] is None
 
 
 def test_kernel_memory_peak_on_three_three_two():
     pm = plucker_map_from_matching_field(BlockStructure((3, 3, 2)))
     tracemalloc.start()
     try:
-        slices, flat = toric._kernel_and_flatness(pm, 3, 8, 3, 200)
+        slices, flat = toric._kernel_and_flatness(toric._image_codes(pm, 3), 3, 8, 3, 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
