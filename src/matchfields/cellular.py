@@ -6,6 +6,10 @@ layers; relabeling the vertices by first appearance turns the hypergraph into
 a graph on integers 1..N whose min-vertex layers are recursively nested.
 That recursive nesting is the co-interval property checked here.
 
+Every nesting check (the z-layers, the y-layers and the vertex layers of the
+co-interval recursion) is one test, _breaks, which compares consecutive
+layers and tries every pair only when some consecutive pair breaks.
+
 The layer checks, the relabeling and the relabeled graph read one table
 {z: {y: [x, ...]}}, filled in one pass over the block ordering, whose keys
 and x-lists keep their order of first appearance; one call of the CLI builds
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .algebra import Monomial, VariableId, xvar, yvar, zvar
 from .errors import ArityTooSmallError
@@ -145,35 +149,29 @@ def check_layer_containment(a: BlockStructure) -> LayerReport:
 
 
 def _layer_report(table: dict[int, dict[int, list[int]]]) -> LayerReport:
-    witnesses: list[str] = []
-
-    zvals = sorted(table)
-    pairs = {z: {(x, y) for y, xs in table[z].items() for x in xs} for z in zvals}
-    for v, v2 in combinations(zvals, 2):
-        if not pairs[v] <= pairs[v2]:
-            witnesses.append(f"z_{v}-layer not contained in z_{v2}-layer")
-
-    def y_nesting_holds(ztop: int, record: bool) -> bool:
-        xsets = {y: set(xs) for y, xs in table[ztop].items()}
-        good = True
-        for earlier, later in combinations(xsets, 2):
-            if not xsets[later] <= xsets[earlier]:
-                good = False
-                if record:
-                    witnesses.append(
-                        f"in z_{ztop}-layer: y_{later} x-set not inside y_{earlier} x-set"
-                    )
-        return good
-
-    top = zvals[-1]
-    y_nesting_holds(top, record=True)
-    lower_ok = all(y_nesting_holds(v, record=False) for v in zvals[:-1])
-
-    return LayerReport(
-        ok=not witnesses,
-        witnesses=tuple(witnesses),
-        lower_layers_nested=lower_ok,
+    zs = sorted(table, reverse=True)
+    pairs = [{(x, y) for y, xs in table[z].items() for x in xs} for z in zs]
+    z_breaks = sorted((zs[j], zs[i]) for i, j in _breaks(pairs))
+    witnesses = [f"z_{v}-layer not contained in z_{v2}-layer" for v, v2 in z_breaks]
+    top = table[zs[0]]
+    ys = list(top)
+    for i, j in _breaks([set(top[y]) for y in ys]):
+        witnesses.append(f"in z_{zs[0]}-layer: y_{ys[j]} x-set not inside y_{ys[i]} x-set")
+    lower_ok = not any(
+        next(_breaks([set(xs) for xs in table[z].values()]), None) for z in zs[1:]
     )
+    return LayerReport(ok=not witnesses, witnesses=tuple(witnesses), lower_layers_nested=lower_ok)
+
+
+def _breaks(sets: list) -> Iterator[tuple[int, int]]:
+    """Each (i, j), i < j, with sets[j] not inside sets[i], in lexicographic
+    order.  Inclusion is transitive, so a list nested at each consecutive
+    pair has none, and every pair is tried only when some consecutive one breaks."""
+    if all(later <= earlier for earlier, later in zip(sets, sets[1:])):
+        return
+    for (i, earlier), (j, later) in combinations(enumerate(sets), 2):
+        if not later <= earlier:
+            yield i, j
 
 
 @dataclass(frozen=True)
@@ -298,13 +296,8 @@ def _unnested_pair(edges: Iterable[tuple], d: int) -> Optional[tuple]:
     for e in edges:
         layers.setdefault(e[0], set()).add(e[1:])
     vs = sorted({v for e in edges for v in e})
-    chain = [layers.get(v, frozenset()) for v in vs]
-    # Nesting along consecutive vertices gives it for every pair; only a
-    # break needs the search for the first failing pair.
-    if not all(later <= earlier for earlier, later in zip(chain, chain[1:])):
-        for (i, earlier), (j, later) in combinations(zip(vs, chain), 2):
-            if not later <= earlier:
-                return i, j
+    for i, j in _breaks([layers.get(v, frozenset()) for v in vs]):
+        return vs[i], vs[j]
     if d > 2:
         for v in sorted(layers):
             witness = _unnested_pair(layers[v], d - 1)

@@ -264,8 +264,8 @@ def _cmd_kernel(args) -> _Output:
     _check_size(comb(sum(parts), 3), 1, args.dmax, args.budget)
     a = BlockStructure(parts)
     triples = generator_triples(a)  # raises TooSmallError when n < 3
-    names = [plucker_variable_name(t.subset()) for t in triples]
     codes = pack_triples(triples, a.n, args.dmax)[1]
+    names: list[str] = []  # built at the first slice that lists binomials
     slices = []
     text = [f"toric kernel of the Pluecker monomial map for blocks {list(a.parts)} (n = {a.n}):"]
     kernel, flat = _kernel_and_flatness(codes, 3, a.n, args.dmax, MAX_PRINTED_BINOMIALS)
@@ -275,6 +275,8 @@ def _cmd_kernel(args) -> _Output:
             "dimension": ks.dimension,
             "new_minimal_generators": ks.new_minimal_generators,
         }
+        if ks.binomials:
+            names = names or [plucker_variable_name(t.subset()) for t in triples]
         if ks.binomials is not None:
             entry["binomials"] = [
                 f"{_format_exponents(names, p)} - {_format_exponents(names, q)}"

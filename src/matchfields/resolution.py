@@ -274,9 +274,11 @@ def _betti_at(
     return betti
 
 
-# Largest Mayer-Vietoris tree the oracle walks; past it the oracle raises
-# TooLargeError rather than run out of memory.
+# Largest Mayer-Vietoris tree the oracle walks, and most faces of a collapsed
+# core it takes homology on; past either the oracle raises TooLargeError
+# rather than run out of memory.
 _MV_NODE_CAP = 200_000
+_FACE_CAP = 200_000
 
 
 def _mayer_vietoris(masks: list[int]) -> Counter[tuple[int, int]]:
@@ -409,7 +411,7 @@ def _core_homology(masks: Sequence[int]) -> dict[int, int]:
             if not s:
                 break
             s = (s - 1) & m
-    if len(faces) > 200_000:
+    if len(faces) > _FACE_CAP:
         raise TooLargeError("collapsed complex still too large for exact homology")
 
     by_count: dict[int, list[int]] = {}

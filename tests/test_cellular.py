@@ -268,6 +268,100 @@ def test_layer_checks_sort_once_and_build_no_dgraph_layers(monkeypatch):
     assert calls == {"sort_generators": 1}
 
 
+def _all_pairs_breaks(sets):
+    return [(i, j) for i, j in combinations(range(len(sets)), 2) if not sets[j] <= sets[i]]
+
+
+def _random_chains(count, seed):
+    """Seeded lists of up to 7 sets, each inside the one before it, then 0, 1
+    or 2 to 4 of their sets given a random element, which may break the
+    chain; each list comes with its reversal, which mostly grows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        current = set(rng.sample(range(12), rng.randint(0, 10)))
+        chain = []
+        for _ in range(rng.randint(0, 7)):
+            chain.append(set(current))
+            current -= set(rng.sample(sorted(current), min(len(current), rng.randint(0, 2))))
+        for k in rng.sample(range(len(chain)), min(len(chain), rng.choice([0, 1, 2, 3, 4]))):
+            chain[k].add(rng.randrange(12))
+        yield chain
+        yield chain[::-1]
+
+
+def test_breaks_yields_exactly_the_failing_pairs_in_lexicographic_order():
+    kinds = Counter()
+    for sets in _random_chains(500, seed=36):
+        want = _all_pairs_breaks(sets)
+        assert list(cellular._breaks(sets)) == want, sets
+        kinds[min(len(want), 2)] += 1
+    assert min(kinds[k] for k in (0, 1, 2)) >= 50, kinds
+
+
+def _reference_layer_report(table):
+    """The layer checks written over every pair: z-values ascending, and the
+    y-values of each layer in the table's order."""
+    zvals = sorted(table)
+    pairs = {z: {(x, y) for y, xs in table[z].items() for x in xs} for z in zvals}
+    witnesses = [
+        f"z_{v}-layer not contained in z_{v2}-layer"
+        for v, v2 in combinations(zvals, 2)
+        if not pairs[v] <= pairs[v2]
+    ]
+
+    def y_breaks(z):
+        xsets = {y: set(xs) for y, xs in table[z].items()}
+        return [(u, u2) for u, u2 in combinations(xsets, 2) if not xsets[u2] <= xsets[u]]
+
+    top = zvals[-1]
+    witnesses += [
+        f"in z_{top}-layer: y_{later} x-set not inside y_{earlier} x-set"
+        for earlier, later in y_breaks(top)
+    ]
+    lower = not any(y_breaks(z) for z in zvals[:-1])
+    return cellular.LayerReport(not witnesses, tuple(witnesses), lower)
+
+
+def _broken_tables(count, seed):
+    """Seeded layer tables of compositions of 3 <= n <= 7, each changed one
+    to three times: an x added to or dropped from a y-list, or the y-values
+    of a z-layer reordered."""
+    rng = random.Random(seed)
+    shapes = [parts for n in range(3, 8) for parts in all_compositions(n)]
+    for _ in range(count):
+        parts = rng.choice(shapes)
+        table = cellular._layers(BlockStructure(parts))
+        for _ in range(rng.randint(1, 3)):
+            z = rng.choice(list(table))
+            y = rng.choice(list(table[z]))
+            xs = table[z][y]
+            missing = [x for x in range(1, sum(parts) + 1) if x not in xs]
+            change = rng.randrange(3)
+            if change == 0 and missing:
+                xs.append(rng.choice(missing))
+            elif change == 1 and len(xs) > 1:
+                xs.remove(rng.choice(xs))
+            else:
+                order = list(table[z].items())
+                rng.shuffle(order)
+                table[z] = dict(order)
+        yield table
+
+
+def test_layer_report_equals_the_all_pairs_checks():
+    for n in range(3, 8):
+        for parts in all_compositions(n):
+            table = cellular._layers(BlockStructure(parts))
+            assert cellular._layer_report(table) == _reference_layer_report(table), parts
+    kinds = Counter()
+    for table in _broken_tables(600, seed=36):
+        report = cellular._layer_report(table)
+        assert report == _reference_layer_report(table), table
+        kinds.update("y-layer" if w.startswith("in ") else "z-layer" for w in report.witnesses)
+        kinds["lower y-layer"] += not report.lower_layers_nested
+    assert min(kinds.values()) >= 50 and len(kinds) == 3, kinds
+
+
 def _perturbed_cases():
     """(parts, change, triples): three seeded perturbations of the generator
     triples of each composition of 3 <= n <= 6, skipping any that repeats a

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from math import comb
 from pathlib import Path
 from time import perf_counter
@@ -847,6 +848,61 @@ def test_kernel_builds_no_monomial_and_no_pluecker_map(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert [e["new_minimal_generators"] for e in result["slices"]] == [0, 420, 0]
     assert result["flatness_ok"] is True
+
+
+def test_kernel_prints_the_flatness_failure_and_exits_one(capsys, monkeypatch):
+    # Packing p124 as p123 leaves 3 distinct images in degree 1, not 4.
+    pack_triples = cli.pack_triples
+
+    def merged(*args):
+        layout, codes = pack_triples(*args)
+        return layout, [codes[0], codes[0], *codes[2:]]
+
+    monkeypatch.setattr(cli, "pack_triples", merged)
+    code, out, err = run(capsys, "kernel", "--n", "4", "--dmax", "2")
+    assert (code, err) == (1, "")
+    assert out == (
+        "toric kernel of the Pluecker monomial map for blocks [4] (n = 4):\n"
+        "  degree 1: kernel dimension 1, new minimal generators 1\n"
+        "  degree 2: kernel dimension 4, new minimal generators 0\n"
+        "  degree 0: 1 distinct images, rectangle dimension 1\n"
+        "  degree 1: 3 distinct images, rectangle dimension 4\n"
+        "  degree 2: 6 distinct images, rectangle dimension 10\n"
+        "FAIL: Hilbert function differs from the rectangle dimensions up to degree 2\n"
+    )
+    code, out, _ = run(capsys, "kernel", "--n", "4", "--dmax", "2", "--format", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["flatness_ok"] is False
+    assert result["flatness_rows"] == [[0, 1, 1], [1, 3, 4], [2, 6, 10]]
+    assert result["slices"][0]["binomials"] == ["p123 - p124"]
+
+
+def test_kernel_names_the_pluecker_variables_only_for_a_slice_that_lists_binomials(
+    capsys, monkeypatch
+):
+    """At n = 8 degree 1 lists no binomial and degrees 2 and 3 list none, so
+    no name is built; at (3, 2) degrees 2 and 3 list theirs from one list."""
+    real = cli.plucker_variable_name
+    named = []
+
+    def refuse(subset):
+        raise AssertionError("a Pluecker variable was named")
+
+    def counted(subset):
+        named.append(subset)
+        return real(subset)
+
+    monkeypatch.setattr(cli, "plucker_variable_name", refuse)
+    code, out, _ = run(capsys, "kernel", "--n", "8", "--dmax", "3", "--format", "json")
+    assert code == 0
+    assert [e.get("binomials") for e in json.loads(out)["result"]["slices"]] == [[], None, None]
+    monkeypatch.setattr(cli, "plucker_variable_name", counted)
+    code, out, _ = run(capsys, "kernel", "--blocks", "3,2", "--dmax", "3", "--format", "json")
+    assert code == 0
+    slices = json.loads(out)["result"]["slices"]
+    assert [len(e["binomials"]) for e in slices] == [0, 5, 45]
+    assert sorted(named) == sorted(combinations(range(1, 6), 3))
 
 
 def test_kernel_builds_each_degree_once(capsys, monkeypatch):

@@ -57,6 +57,15 @@ def test_betti_table_refuses_entries_that_are_not_ints(values):
         BettiTable(values)
 
 
+def test_betti_table_reads_zero_just_past_its_last_entry():
+    t = BettiTable((3, 2))
+    assert (t[1], t[2]) == (2, 0)
+
+
+def test_oracle_of_the_zero_ideal_is_the_empty_table():
+    assert betti_oracle(MonomialIdeal(frozenset())) == BettiTable(())
+
+
 def test_colon_by_monomial():
     n = 2
     xy = Monomial.of(n, xvar(1), yvar(1))
@@ -547,6 +556,17 @@ def test_union_homology_equals_reference_on_antichains():
         facets = antichain(masks)
         core = resolution._strong_collapse(facets)
         assert resolution._core_homology(core) == reference_union_homology(facets), facets
+
+
+def test_core_homology_runs_at_its_face_cap_and_refuses_one_face_more(monkeypatch):
+    # The boundary of a triangle has 7 faces, the empty face included.
+    triangle = [0b011, 0b101, 0b110]
+    assert resolution._FACE_CAP == 200_000
+    monkeypatch.setattr(resolution, "_FACE_CAP", 7)
+    assert resolution._core_homology(triangle) == {1: 1}
+    monkeypatch.setattr(resolution, "_FACE_CAP", 6)
+    with pytest.raises(TooLargeError, match="too large for exact homology"):
+        resolution._core_homology(triangle)
 
 
 def test_strong_collapse_deletes_dominated_vertices_and_keeps_contained_facets():
