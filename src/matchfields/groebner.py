@@ -133,27 +133,30 @@ def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
 class _Divider:
     """A basis packed for division, with one step budget for all its calls.
 
-    Basis element i comes as its terms (packed monomial, coefficient); row i
-    holds it as (lm, 1/lc, tail), the tail being its other terms, greatest
-    first.  1/lc is an int when lc is +-1, so integral input stays in ints;
-    otherwise it is a Fraction.  leads maps each distinct lm, guard bits set,
-    to its first row.
+    Basis element i comes as its terms (packed monomial, coefficient), and
+    the table keeps it by position i: rows[i] is (lm, 1/lc, tail), the tail
+    being its other terms, greatest first; guarded[i] is lm with its guard
+    bits set; supports[i] is the support of lm.  1/lc is an int when lc is
+    +-1, so integral input stays in ints; otherwise it is a Fraction.  leads
+    maps each distinct guarded lead to its first position, in basis order,
+    so the first basis element whose lead divides a term reduces it.
     """
 
-    __slots__ = ("packing", "rows", "leads", "remaining")
+    __slots__ = ("packing", "rows", "guarded", "supports", "leads", "remaining")
 
     def __init__(self, basis: Iterable[list], packing: _Packing, budget: Optional[int]):
         self.packing = packing
         self.rows = []
-        self.leads: dict[int, tuple] = {}
         for terms in basis:
             if not terms:
                 raise ZeroPolynomialError("basis contains the zero polynomial")
             (lead, lc), *tail = sorted(terms, reverse=True)
-            inv = lc if lc in (1, -1) else 1 / Fraction(lc)
-            row = (lead, inv, tuple(tail))
-            self.rows.append(row)
-            self.leads.setdefault(lead | packing.guards, row)
+            self.rows.append((lead, lc if lc in (1, -1) else 1 / Fraction(lc), tuple(tail)))
+        self.guarded = [row[0] | packing.guards for row in self.rows]
+        self.supports = [packing.support(row[0]) for row in self.rows]
+        self.leads: dict[int, int] = {}
+        for i, lg in enumerate(self.guarded):
+            self.leads.setdefault(lg, i)
         self.remaining = budget
 
     def s_polynomial(self, i: int, j: int, lcm: int) -> dict[int, Fraction | int]:
@@ -179,7 +182,8 @@ class _Divider:
         element whose leading monomial divides it; terms reducible by none
         move to the remainder.
         """
-        leads, guards, exp_mask = self.leads, self.packing.guards, self.packing.exp_mask
+        leads, rows = self.leads, self.rows
+        guards, exp_mask = self.packing.guards, self.packing.exp_mask
         left = self.remaining
         remainder = {}
         while work:
@@ -192,7 +196,7 @@ class _Divider:
                         left -= 1
                         if left < 0:
                             raise BudgetExceededError("division step budget exhausted")
-                    lead, inv, tail = leads[lg]
+                    lead, inv, tail = rows[leads[lg]]
                     factor = c * inv
                     cof = k - lead
                     for tk, tc in tail:
@@ -214,8 +218,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: WeightOrder) -> Polynomial
     # An lcm of two leading monomials weighs at most the sum of their weights.
     packing = _Packing(order, 2 * _max_weight([f, g], order))
     div = _Divider(map(packing.terms, (f, g)), packing, None)
-    a, b = div.rows[0][0], div.rows[1][0]
-    l = packing.lcm(a, b, packing.support(a) & packing.support(b))
+    l = packing.lcm(div.rows[0][0], div.rows[1][0], div.supports[0] & div.supports[1])
     return packing.polynomial(div.s_polynomial(0, 1, l))
 
 
@@ -278,10 +281,8 @@ def is_groebner(
 
 def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
     """The Buchberger pass of is_groebner over div's basis."""
-    packing = div.packing
-    leads = [row[0] for row in div.rows]
-    supports = [packing.support(p) for p in leads]
-    s = len(leads)
+    packing, rows, guarded, supports = div.packing, div.rows, div.guarded, div.supports
+    s = len(rows)
     # Bit k of settled[i]: the pair (i, k) is settled.  Coprime pairs settle
     # up front, as the product criterion depends on no other pair.
     settled = [0] * s
@@ -294,12 +295,11 @@ def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
             settled[j] |= 1 << i
             reduced += 1
         else:
-            l = packing.lcm(leads[i], leads[j], common)
+            l = packing.lcm(rows[i][0], rows[j][0], common)
             pairs.append((l >> packing.deg_shift & packing.field, l, i, j))
     pairs.sort()
 
     guards, exp_mask = packing.guards, packing.exp_mask
-    guarded = [p | guards for p in leads]
     # has[v]: the leads that contain the variable at precedence position v.
     # A lead with a variable outside supp(lcm) cannot divide the lcm.
     has = [
@@ -310,13 +310,10 @@ def _buchberger(div: _Divider, use_coprime_criterion: bool) -> GroebnerCheck:
     for _, l, i, j in pairs:
         chain = settled[i] & settled[j] if use_coprime_criterion else 0
         outside = everywhere ^ (supports[i] | supports[j])
-        # Clearing has[v] costs a step per outside variable and the exact
-        # test a step per lead, so the prefilter runs only when it is cheaper.
-        if chain.bit_count() > outside.bit_count():
-            while outside and chain:
-                low = outside & -outside
-                chain &= ~has[low.bit_length() - 1]
-                outside ^= low
+        while outside and chain:
+            low = outside & -outside
+            chain &= ~has[low.bit_length() - 1]
+            outside ^= low
         t = l & exp_mask
         while chain:
             low = chain & -chain

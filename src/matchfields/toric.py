@@ -71,6 +71,10 @@ class PluckerMap:
         for s in self.source:
             if tuple(sorted(set(s))) != s:
                 raise ValueError(f"source subset {s} is not a sorted set")
+        if len({len(s) for s in self.source}) > 1:
+            raise ValueError("source subsets of more than one size")
+        if len({m.n for m in self.images}) > 1:
+            raise ValueError("images over more than one ambient n")
 
     @property
     def assignment(self) -> dict[Subset, Monomial]:
@@ -367,6 +371,8 @@ def _format_exponents(names: list[str], exponents: Exponents) -> str:
 
 
 def format_plucker_exponents(pmap: PluckerMap, exponents: Exponents) -> str:
+    if len(exponents) != len(pmap.source):
+        raise ValueError(f"{len(exponents)} exponents for {len(pmap.source)} Pluecker variables")
     return _format_exponents([plucker_variable_name(sub) for sub in pmap.source], exponents)
 
 

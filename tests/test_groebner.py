@@ -98,6 +98,18 @@ def test_reduce_of_basis_member_is_zero():
         assert reduce(f.term_mul(3, Monomial.of(4, xvar(1))), minors, order).is_zero
 
 
+def test_the_first_basis_element_with_a_repeated_lead_reduces():
+    """z3 leads both z3 + x1 and z3 + x2; the one that comes first in the
+    basis cancels it."""
+    n = 3
+    order = weight_matrix(BlockStructure((n,)))
+    x1, x2, z3 = (Monomial.of(n, v) for v in (xvar(1), xvar(2), zvar(3)))
+    f, g, h = (Polynomial.from_terms(n, [(1, m) for m in ms]) for ms in ([z3], [z3, x1], [z3, x2]))
+    assert leading_monomial(order, g) == leading_monomial(order, h) == z3
+    assert reduce(f, [g, h], order) == Polynomial.from_terms(n, [(-1, x1)])
+    assert reduce(f, [h, g], order) == Polynomial.from_terms(n, [(-1, x2)])
+
+
 def test_is_groebner_positive_and_negative():
     n = 1
     order = _unit_order(n)
@@ -231,6 +243,8 @@ def test_attainable_supports_respects_term_cap():
     )
     with pytest.raises(TooLargeError):
         attainable_initial_supports(big, max_terms=12)
+    with pytest.raises(TooLargeError):
+        attainable_initial_supports(big)
 
 
 def test_verify_reports_per_minor_details():
@@ -296,6 +310,42 @@ def test_pair_criteria_agree_with_full_reduction_on_random_bases():
                 for m in residual.monomials():
                     assert not any(l.divides(m) for l in leads)
     assert min(seen.values()) >= 40, seen
+
+
+def test_the_witness_is_the_first_residual_pair_in_the_normal_strategy():
+    """Without the criteria every pair is divided, by lcm degree, then by the
+    order on lcms, then by position; the witness is the first pair whose
+    S-polynomial leaves a residual, with that residual."""
+    rng = random.Random(37)
+    residual_pairs = degree_decides = 0
+    for _ in range(300):
+        order, poly = _random_ring(rng)
+        basis = _random_basis(rng, poly, (1, -1))
+        leads = [leading_monomial(order, b) for b in basis]
+        residuals = {}
+        for i, j in combinations(range(len(basis)), 2):
+            r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+            if not r.is_zero:
+                lcm = leads[i].lcm(leads[j])
+                residuals[(lcm.degree, order.key(lcm), i, j)] = (i, j, r)
+        want = residuals[min(residuals)] if residuals else None
+        assert is_groebner(basis, order, use_coprime_criterion=False).witness == want
+        if residuals:
+            residual_pairs += 1
+            degree_decides += min(residuals) != min(residuals, key=lambda k: k[1:])
+    assert residual_pairs >= 100 and degree_decides >= 5, (residual_pairs, degree_decides)
+
+
+def test_verify_weighs_with_w0_one_by_default(monkeypatch):
+    seen = []
+
+    def recorded(a, w0):
+        seen.append(w0)
+        return weight_matrix(a, w0)
+
+    monkeypatch.setattr(groebner, "weight_matrix", recorded)
+    assert verify_theorem_main(BlockStructure((2, 2))).ok
+    assert seen == [1]
 
 
 def _to_sympy(f, symbols):
@@ -541,6 +591,22 @@ def test_packed_minors_match_minor_expand(monkeypatch):
                         assert packing.weight(p) == order.weight(packing.monomial(p))
                 for g, h in combinations(leads, 2):
                     assert order.weight(g.lcm(h)) <= packing.bound
+
+
+def test_the_divider_table_holds_each_leads_guarded_form_and_support(monkeypatch):
+    """Position i of the table belongs to row i's lead: guarded[i] is it with
+    its guard bits set, supports[i] has bit v set exactly when the variable
+    at precedence position v occurs in it, and leads sends it to i."""
+    for n in range(3, 7):
+        for parts in all_compositions(n):
+            _, div = _verify_with_divider(monkeypatch, BlockStructure(parts), 1)
+            packing = div.packing
+            leads = [lead for lead, _, _ in div.rows]
+            assert div.guarded == [p | packing.guards for p in leads]
+            assert div.supports == [packing.support(p) for p in leads]
+            for p, sup in zip(leads, div.supports):
+                assert sup == sum(1 << v for v, e in enumerate(packing.exponents(p)) if e)
+            assert list(div.leads.items()) == [(lg, i) for i, lg in enumerate(div.guarded)]
 
 
 def test_verify_builds_no_order_keys_and_only_the_ideal_monomials(monkeypatch):

@@ -46,6 +46,19 @@ def test_plucker_map_validation():
         PluckerMap(((1, 2),), (img, img))
 
 
+def test_plucker_map_refuses_source_subsets_of_more_than_one_size():
+    img = Monomial.of(3, xvar(1))
+    with pytest.raises(ValueError, match="more than one size"):
+        PluckerMap(((1, 2), (1, 2, 3)), (img, img))
+
+
+def test_plucker_map_refuses_images_over_more_than_one_ambient_n():
+    """Packed by variable name alone, x1 over n = 3 and x1 over n = 5 would
+    give one code, and kernel_slice a binomial between them."""
+    with pytest.raises(ValueError, match="more than one ambient n"):
+        PluckerMap(((1, 2), (1, 3)), (Monomial.of(3, xvar(1)), Monomial.of(5, xvar(1))))
+
+
 def test_matching_field_map_images():
     a = BlockStructure((3, 2))
     pm = plucker_map_from_matching_field(a)
@@ -390,6 +403,13 @@ def test_plucker_exponents_name_each_positive_entry():
     assert format_plucker_exponents(pm, (0, 1, 0, 0, 0, 0)) == "p13"
     assert format_plucker_exponents(pm, (0,) * 6) == "1"
     assert format_plucker_exponents(pm, (0, -1, 0, 0, 0, 0)) == "1"
+
+
+def test_plucker_exponents_refuse_a_tuple_of_the_wrong_length():
+    pm = diagonal_plucker_map(2, 3)  # p12, p13, p23
+    for exponents in [(), (1,), (1, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="exponents for 3 Pluecker variables"):
+            format_plucker_exponents(pm, exponents)
 
 
 def test_quadric_polynomial():
