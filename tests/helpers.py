@@ -1,9 +1,19 @@
 """Shared test helpers."""
 
+import os
 import random
+import resource
+import shutil
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import matchfields.groebner as groebner
 from matchfields import Monomial, Polynomial, xvar, yvar
+
+ROOT = Path(__file__).resolve().parents[1]
+MEMORY_LIMIT = 2 << 30
 
 # verify_theorem_main's one residual on (4,) under leave_the_first_s_pair_unreduced:
 # the S-polynomial of minors #2 and #3 itself.
@@ -59,3 +69,46 @@ def recipe_polynomial(m):
         if mono not in monos:
             monos.append(mono)
     return Polynomial.from_terms(4, [(1, mono) for mono in monos])
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _run(args, src, timeout):
+    """(exit code, output) of python args run from the repository root with
+    src first on the path; the exit code is None on a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with subprocess.Popen(
+        [sys.executable, *args], cwd=ROOT, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True, start_new_session=True,
+        preexec_fn=_limit_memory,
+    ) as proc:
+        try:
+            output = proc.communicate(timeout=timeout)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            return None, proc.communicate()[0]
+        return proc.returncode, output
+
+
+def run_tests_on_a_copy(tmp, tests, timeout, file=None, text=None):
+    """(exit code, output) of pytest -q -x over the named tests against a
+    copy of src/ made in tmp, with file (a path such as
+    src/matchfields/groebner.py) rewritten to text when one is given; the
+    exit code is None on a timeout.
+
+    The copy holds no byte code, and matchfields must import from it before
+    the file is rewritten.  Each process runs in its own session with a
+    2 GiB address-space limit, and one that times out is killed with its
+    children.
+    """
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    init = str(src / "matchfields" / "__init__.py")
+    code, output = _run(["-c", f"import matchfields, sys; sys.exit(matchfields.__file__ != {init!r})"], src, 60)
+    if code != 0:
+        raise RuntimeError(f"matchfields does not import from the copy of src/ in {tmp}\n{output}")
+    if file is not None:
+        (Path(tmp) / file).write_text(text)
+    return _run(["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests], src, timeout)

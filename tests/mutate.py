@@ -9,29 +9,24 @@ A site is one token of the module's code, never of a string or a comment,
 that one of these swaps changes: < and <=, > and >=, == and !=, + and -,
 and and or, & and |, << and >>, or an int literal to the literal + 1.
 For each site (a seeded sample of them with --sample), the module with that
-one token swapped is written into a temporary copy of src/, and the named
-test files run against the copy under pytest -x, one process at a time.
-A site is killed when pytest exits 1, errored on any other nonzero exit
-(a mutant that no longer imports, say), timed out past --timeout, and
-survived when every test passed.  The survivors are printed last; each is
-a missing test or code whose behaviour no test depends on.
+one token swapped is written into a fresh temporary copy of src/, and the
+named test files run against the copy under pytest -x, one process at a
+time, through helpers.run_tests_on_a_copy, as the committed mutants of
+tests/test_mutants.py do.  A site is killed when pytest exits 1, errored
+on any other nonzero exit (a mutant that no longer imports, say), timed
+out, and survived when every test passed.  The survivors are printed last;
+each is a missing test or code whose behaviour no test depends on.
 
-The unmutated tests must pass against the copy first.  The timeout
-defaults to ten times that run, and at least 60 s.  Each pytest process
-runs in its own session with a 2 GiB address-space limit, and a timed-out
-one is killed with its children.  Exit code: 0 when nothing survived, 1
-when something did, 2 when the unmutated tests fail.  This file is a tool,
-not a test: pytest collects only test_*.py.
+The unmutated tests must pass against a copy first; each mutant's timeout
+is ten times that run, and at least 60 s.  Exit code: 0 when nothing
+survived, 1 when something did, 2 when matchfields does not import from
+the copy or the unmutated tests fail.  This file is a tool, not a test:
+pytest collects only test_*.py.
 """
 
 import argparse
 import io
-import os
 import random
-import resource
-import shutil
-import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -39,12 +34,15 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# helpers (beside this file, so on the path) imports matchfields from src/.
+sys.path.insert(0, str(ROOT / "src"))
+from helpers import run_tests_on_a_copy
+
 SWAPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
     "+": "-", "-": "+", "and": "or", "or": "and", "&": "|", "|": "&",
     "<<": ">>", ">>": "<<",
 }
-MEMORY_LIMIT = 2 << 30
 
 
 def sites(text: str) -> list[tuple[int, int, int, str, str]]:
@@ -72,32 +70,12 @@ def mutate(text: str, site: tuple[int, int, int, str, str]) -> str:
     return "".join(lines)
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-
-
-def run(args: list[str], src: Path, timeout: float | None) -> int | None:
-    """The exit code of python args with src first on the path, None on a timeout."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    with subprocess.Popen(
-        [sys.executable, *args], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL, start_new_session=True, preexec_fn=_limit_memory,
-    ) as proc:
-        try:
-            return proc.wait(timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-            return None
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="the file of src/ to mutate, e.g. src/matchfields/groebner.py")
     parser.add_argument("tests", nargs="+", help="the test files to run against each mutant")
     parser.add_argument("--sample", type=int, help="mutate this many seeded sites, not every site")
     parser.add_argument("--seed", type=int, default=0, help="the seed of the sample (default 0)")
-    parser.add_argument("--timeout", type=float, help="seconds per mutant run")
     args = parser.parse_args()
 
     module = (ROOT / args.module).resolve().relative_to(ROOT)
@@ -109,32 +87,29 @@ def main() -> int:
     if args.sample is not None:
         chosen = random.Random(args.seed).sample(every, min(args.sample, len(every)))
     chosen.sort()
-    pytest = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args.tests]
 
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        target = Path(tmp) / module
-        init = str(src / "matchfields" / "__init__.py")
-        if run(["-c", f"import matchfields, sys; sys.exit(matchfields.__file__ != {init!r})"], src, 60):
-            print("matchfields does not import from the copy of src/")
-            return 2
         start = time.perf_counter()
-        if run(pytest, src, None) != 0:
-            print("the unmutated tests do not pass against the copy of src/")
+        try:
+            code, _ = run_tests_on_a_copy(tmp, args.tests, None)
+        except RuntimeError as error:
+            print(error)
             return 2
-        timeout = args.timeout or max(60.0, 10 * (time.perf_counter() - start))
-        print(f"{module}: {len(every)} sites, {len(chosen)} mutated, timeout {timeout:.0f} s", flush=True)
+    if code != 0:
+        print("the unmutated tests do not pass against the copy of src/")
+        return 2
+    timeout = max(60.0, 10 * (time.perf_counter() - start))
+    print(f"{module}: {len(every)} sites, {len(chosen)} mutated, timeout {timeout:.0f} s", flush=True)
 
-        outcomes = {"killed": [], "errored": [], "timed out": [], "survived": []}
-        for number, site in enumerate(chosen, 1):
-            target.write_text(mutate(text, site))
-            code = run(pytest, src, timeout)
-            outcome = {None: "timed out", 0: "survived", 1: "killed"}.get(code, "errored")
-            row, _, _, old, new = site
-            label = f"{module}:{row}: {old} -> {new}    {text.splitlines()[row - 1].strip()}"
-            outcomes[outcome].append(label)
-            print(f"[{number}/{len(chosen)}] {outcome}: {label}", flush=True)
+    outcomes = {"killed": [], "errored": [], "timed out": [], "survived": []}
+    for number, site in enumerate(chosen, 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _ = run_tests_on_a_copy(tmp, args.tests, timeout, module, mutate(text, site))
+        outcome = {None: "timed out", 0: "survived", 1: "killed"}.get(code, "errored")
+        row, _, _, old, new = site
+        label = f"{module}:{row}: {old} -> {new}    {text.splitlines()[row - 1].strip()}"
+        outcomes[outcome].append(label)
+        print(f"[{number}/{len(chosen)}] {outcome}: {label}", flush=True)
 
     print(", ".join(f"{len(labels)} {outcome}" for outcome, labels in outcomes.items()))
     for label in outcomes["survived"]:

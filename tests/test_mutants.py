@@ -11,15 +11,11 @@ and not by the timeout.
 """
 
 import json
-import os
-import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from helpers import ROOT, run_tests_on_a_copy
 
-ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = json.loads((ROOT / "tests" / "data" / "mutants.json").read_text())["mutants"]
 
 
@@ -46,18 +42,6 @@ def test_the_mutants_cover_the_checked_modules_and_name_real_tests():
 @pytest.mark.slow
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[mutant["id"] for mutant in MUTANTS])
 def test_the_named_tests_kill_the_mutant(mutant, tmp_path):
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    target = tmp_path / mutant["file"]
-    target.write_text(target.read_text().replace(mutant["anchor"], mutant["replacement"]))
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    where = subprocess.run(
-        [sys.executable, "-c", "import matchfields; print(matchfields.__file__)"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert where.stdout.strip() == str(src / "matchfields" / "__init__.py"), where.stderr
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant["tests"]],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 1, run.stdout[-3000:] + run.stderr[-3000:]
+    text = (ROOT / mutant["file"]).read_text().replace(mutant["anchor"], mutant["replacement"])
+    code, output = run_tests_on_a_copy(tmp_path, mutant["tests"], 120, mutant["file"], text)
+    assert code == 1, output[-6000:]
