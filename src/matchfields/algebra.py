@@ -72,14 +72,25 @@ def _check_variable(v: VariableId, n: int) -> None:
         raise ValueError(f"variable index {v.index} outside [1, {n}]")
 
 
+def _check_n(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"ambient n must be an int >= 1, got {n!r}")
+
+
+def _exact(c: Fraction | int) -> Fraction:
+    """c as a Fraction; only an int (not a bool) or a Fraction is exact."""
+    if type(c) is not int and type(c) is not Fraction:
+        raise ValueError(f"coefficient must be an int or a Fraction, got {c!r}")
+    return Fraction(c)
+
+
 class Monomial:
     """Immutable sparse monomial over the 3n variables of a fixed ambient n."""
 
     __slots__ = ("n", "_exps", "_key", "_degree", "_hash")
 
     def __init__(self, n: int, exponents: Mapping[VariableId, int] | None = None):
-        if n < 1:
-            raise ValueError("ambient n must be at least 1")
+        _check_n(n)
         exps: dict[VariableId, int] = {}
         if exponents:
             for v, e in exponents.items():
@@ -206,12 +217,13 @@ class Polynomial:
     __slots__ = ("n", "_terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | None = None):
+        _check_n(n)
         tt: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 if m.n != n:
                     raise ValueError("term monomial over a different ambient n")
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     tt[m] = c
         self.n = n
@@ -228,7 +240,7 @@ class Polynomial:
     ) -> "Polynomial":
         acc: dict[Monomial, Fraction] = {}
         for c, m in pairs:
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+            acc[m] = acc.get(m, Fraction(0)) + _exact(c)
         return cls(n, acc)
 
     @property
@@ -268,7 +280,7 @@ class Polynomial:
 
     def term_mul(self, coeff: Fraction | int, mono: Monomial) -> "Polynomial":
         """self * (coeff * mono)."""
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return Polynomial.zero(self.n)
         return Polynomial(

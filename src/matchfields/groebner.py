@@ -138,8 +138,8 @@ class _Divider:
     being its other terms, greatest first; guarded[i] is lm with its guard
     bits set; supports[i] is the support of lm.  1/lc is an int when lc is
     +-1, so integral input stays in ints; otherwise it is a Fraction.  leads
-    maps each distinct guarded lead to its first position, in basis order,
-    so the first basis element whose lead divides a term reduces it.
+    maps each distinct guarded lead to its first position, the row that a
+    step by that lead subtracts.  A step is one subtract call; an S-polynomial, two.
     """
 
     __slots__ = ("packing", "rows", "guarded", "supports", "leads", "remaining")
@@ -159,20 +159,24 @@ class _Divider:
             self.leads.setdefault(lg, i)
         self.remaining = budget
 
-    def s_polynomial(self, i: int, j: int, lcm: int) -> dict[int, Fraction | int]:
-        """(lcm/lt_i) * f_i - (lcm/lt_j) * f_j as {packed monomial: coefficient}."""
+    def subtract(self, work: dict[int, Fraction | int], i: int, term: int, c: Fraction | int):
+        """Cancel c * term by row i: work -= c * (term/lm_i) * f_i / lc_i but for
+        c * term itself, which work lacks; entries that reach zero are deleted."""
         lead, inv, tail = self.rows[i]
-        cof = lcm - lead
-        work = {k + cof: c * inv for k, c in tail}
-        lead, inv, tail = self.rows[j]
-        cof = lcm - lead
-        for k, c in tail:
+        factor, cof = c * inv, term - lead
+        for k, tc in tail:
             k += cof
-            v = work.get(k, 0) - c * inv
+            v = work.get(k, 0) - factor * tc
             if v:
                 work[k] = v
             else:
                 del work[k]
+
+    def s_polynomial(self, i: int, j: int, lcm: int) -> dict[int, Fraction | int]:
+        """(lcm/lt_i) * f_i - (lcm/lt_j) * f_j as {packed monomial: coefficient}."""
+        work = {}
+        self.subtract(work, i, lcm, -1)
+        self.subtract(work, j, lcm, 1)
         return work
 
     def normal_form(self, work: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
@@ -182,7 +186,7 @@ class _Divider:
         element whose leading monomial divides it; terms reducible by none
         move to the remainder.
         """
-        leads, rows = self.leads, self.rows
+        leads, subtract = self.leads, self.subtract
         guards, exp_mask = self.packing.guards, self.packing.exp_mask
         left = self.remaining
         remainder = {}
@@ -196,16 +200,7 @@ class _Divider:
                         left -= 1
                         if left < 0:
                             raise BudgetExceededError("division step budget exhausted")
-                    lead, inv, tail = rows[leads[lg]]
-                    factor = c * inv
-                    cof = k - lead
-                    for tk, tc in tail:
-                        tk += cof
-                        v = work.get(tk, 0) - factor * tc
-                        if v:
-                            work[tk] = v
-                        else:
-                            del work[tk]
+                    subtract(work, leads[lg], k, c)
                     break
             else:
                 remainder[k] = c

@@ -64,8 +64,8 @@ class PluckerMap:
     images: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if len(self.source) != len(self.images):
-            raise ValueError("source and images must have equal length")
+        if not 0 < len(self.source) == len(self.images):
+            raise ValueError("source and images must be non-empty and of equal length")
         if len(set(self.source)) != len(self.source):
             raise ValueError("duplicate source subsets")
         for s in self.source:
@@ -112,7 +112,7 @@ def diagonal_plucker_map(k: int, n: int) -> PluckerMap:
 def image_monomial(pmap: PluckerMap, exponents: Mapping[Subset, int]) -> Monomial:
     """Image of the Pluecker monomial prod p_S^{e_S} under the map."""
     assign = pmap.assignment
-    out = Monomial.one(pmap.images[0].n if pmap.images else 1)
+    out = Monomial.one(pmap.images[0].n)
     for sub, e in exponents.items():
         key = tuple(sub)
         if key not in assign:

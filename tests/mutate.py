@@ -8,6 +8,9 @@ Run from any directory, for example:
 A site is one token of the module's code, never of a string or a comment,
 that one of these swaps changes: < and <=, > and >=, == and !=, + and -,
 and and or, & and |, << and >>, or an int literal to the literal + 1.
+A token inside a type annotation is no site: an annotation states a type,
+and under from __future__ import annotations it is never evaluated, so a
+change there could only survive.
 For each site (a seeded sample of them with --sample), the module with that
 one token swapped is written into a fresh temporary copy of src/, and the
 named test files run against the copy under pytest -x, one process at a
@@ -25,6 +28,7 @@ pytest collects only test_*.py.
 """
 
 import argparse
+import ast
 import io
 import random
 import sys
@@ -47,6 +51,13 @@ SWAPS = {
 
 def sites(text: str) -> list[tuple[int, int, int, str, str]]:
     """(line, start column, end column, old token, new token) for each site."""
+    # Spans of the annotations, as (line, UTF-8 byte column), as ast gives them.
+    notes = [
+        ((note.lineno, note.col_offset), (note.end_lineno, note.end_col_offset))
+        for node in ast.walk(ast.parse(text))
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if note is not None
+    ]
     out = []
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS:
@@ -59,6 +70,9 @@ def sites(text: str) -> list[tuple[int, int, int, str, str]]:
         else:
             continue
         (row, col), (_, end) = tok.start, tok.end
+        at = (row, len(tok.line[:col].encode()))
+        if any(start <= at < stop for start, stop in notes):
+            continue
         out.append((row, col, end, tok.string, new))
     return out
 

@@ -1,6 +1,8 @@
 """Exact monomial/polynomial arithmetic and the weight-then-revlex order."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,55 @@ def test_monomial_rejects_bad_variables():
         Monomial.of(3, xvar(4))
     with pytest.raises(ValueError):
         Monomial.of(3, VariableId("w", 1))
+
+
+INEXACT = [0.1, 2.0, "1/3", Decimal("0.5"), True, False]
+
+
+def _refused(value):
+    """pytest.raises for the ValueError that names value as the refused input."""
+    return pytest.raises(ValueError, match=f"got {re.escape(repr(value))}$")
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_polynomial_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(c):
+    with _refused(c):
+        Polynomial(3, {Monomial.of(3, xvar(1)): c})
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_from_terms_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(c):
+    with _refused(c):
+        Polynomial.from_terms(3, [(c, Monomial.of(3, xvar(1)))])
+
+
+@pytest.mark.parametrize("c", INEXACT)
+def test_term_mul_refuses_a_coefficient_that_is_not_an_int_or_a_fraction(c):
+    x1 = Monomial.of(3, xvar(1))
+    with _refused(c):
+        Polynomial.from_terms(3, [(1, x1)]).term_mul(c, x1)
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", True, Fraction(3), 0, -1])
+def test_monomial_refuses_an_ambient_n_that_is_not_a_positive_int(n):
+    with _refused(n):
+        Monomial(n)
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", True, Fraction(3), 0, -1])
+def test_polynomial_refuses_an_ambient_n_that_is_not_a_positive_int(n):
+    with _refused(n):
+        Polynomial(n)
+
+
+def test_ints_and_fractions_are_exact_coefficients():
+    x1, y1 = Monomial.of(1, xvar(1)), Monomial.of(1, yvar(1))
+    f = Polynomial(1, {x1: 2, y1: Fraction(1, 3)})
+    assert f == Polynomial.from_terms(1, [(2, x1), (Fraction(1, 3), y1)])
+    assert f.coefficient(x1) == 2 and f.coefficient(y1) == Fraction(1, 3)
+    assert f.term_mul(3, x1) == Polynomial(1, {x1 * x1: 6, x1 * y1: 1})
+    assert f.term_mul(Fraction(3, 2), y1) == Polynomial(1, {x1 * y1: 3, y1 * y1: Fraction(1, 2)})
+    assert Monomial(1).n == Polynomial(1).n == 1
 
 
 def test_monomial_multiplication_and_division():

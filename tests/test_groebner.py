@@ -336,6 +336,25 @@ def test_the_witness_is_the_first_residual_pair_in_the_normal_strategy():
     assert residual_pairs >= 100 and degree_decides >= 5, (residual_pairs, degree_decides)
 
 
+def test_s_polynomial_equals_the_term_mul_difference_on_random_bases():
+    """s_polynomial(f, g) is (lcm/lt(f)) * f - (lcm/lt(g)) * g written with
+    term_mul and -, on seeded random pairs whose leading coefficients are
+    +-1, other ints and Fractions."""
+    rng = random.Random(13)
+    kinds = set()
+    for trial in range(200):
+        order, poly = _random_ring(rng)
+        coefficients = (1, -1) if trial % 2 else (1, -1, 2, -3, Fraction(1, 2))
+        for f, g in combinations(_random_basis(rng, poly, coefficients), 2):
+            (cf, mf), (cg, mg) = leading_term(order, f), leading_term(order, g)
+            lcm = mf.lcm(mg)
+            want = f.term_mul(1 / cf, lcm.exact_div(mf)) - g.term_mul(1 / cg, lcm.exact_div(mg))
+            assert s_polynomial(f, g, order) == want, (f, g, order.precedence)
+            for c in (cf, cg):
+                kinds.add("+-1" if abs(c) == 1 else "int" if c.denominator == 1 else "Fraction")
+    assert kinds == {"+-1", "int", "Fraction"}, kinds
+
+
 def test_verify_weighs_with_w0_one_by_default(monkeypatch):
     seen = []
 

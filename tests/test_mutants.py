@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from helpers import ROOT, run_tests_on_a_copy
+from mutate import sites
 
 MUTANTS = json.loads((ROOT / "tests" / "data" / "mutants.json").read_text())["mutants"]
 
@@ -37,6 +38,15 @@ def test_the_mutants_cover_the_checked_modules_and_name_real_tests():
         for test in mutant["tests"]:
             path, _, name = test.partition("::")
             assert f"\ndef {name.split('[')[0]}(" in (ROOT / path).read_text(), test
+
+
+def test_the_sweep_counts_no_site_inside_an_annotation():
+    """A | in an annotation is no site of tests/mutate.py; the same | in an
+    expression is."""
+    text = "def f(x: int | None, y=1 | 2) -> int | None:\n    z: int | None = x | y\n"
+    assert [(row, old) for row, _, _, old, _ in sites(text)] == [
+        (1, "1"), (1, "|"), (1, "2"), (2, "|")
+    ]
 
 
 @pytest.mark.slow

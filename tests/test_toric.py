@@ -44,6 +44,8 @@ def test_plucker_map_validation():
         PluckerMap(((2, 1),), (img,))
     with pytest.raises(ValueError):
         PluckerMap(((1, 2),), (img, img))
+    with pytest.raises(ValueError, match="non-empty"):
+        PluckerMap((), ())
 
 
 def test_plucker_map_refuses_source_subsets_of_more_than_one_size():
@@ -80,6 +82,10 @@ def test_diagonal_map_two_and_three_rows():
         diagonal_plucker_map(4, 5)
     with pytest.raises(ValueError):
         diagonal_plucker_map(3, 2)
+    # n = k columns: the one subset is all of them.
+    assert diagonal_plucker_map(2, 2).assignment == {(1, 2): Monomial.of(2, xvar(1), yvar(2))}
+    pm = diagonal_plucker_map(3, 3)
+    assert pm.assignment == {(1, 2, 3): Monomial.of(3, xvar(1), yvar(2), zvar(3))}
 
 
 def test_image_monomial_and_unknown_variable():
