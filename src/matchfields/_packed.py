@@ -36,6 +36,10 @@ class Layout:
         """The field values of packed p, in variable order."""
         return [p >> i * self.width & self.field for i in range(len(self.variables))]
 
+    def monomial(self, p: int, n: int) -> Monomial:
+        """The Monomial over ambient n of packed p."""
+        return Monomial(n, dict(zip(self.variables, self.exponents(p))))
+
     def monus(self, ps: Iterable[int], m: int) -> list[int]:
         """Field-wise max(p - m, 0) for each p; for monomials, p / gcd(p, m)."""
         guards, bits = self.guards, self.bits

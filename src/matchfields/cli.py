@@ -40,7 +40,7 @@ from .cellular import _cointerval_inputs, is_cointerval
 from .errors import MatchfieldsError, TooLargeError
 from .groebner import attainable_initial_supports, verify_theorem_main
 from .matching import BlockStructure, _composition, generator_triples, sort_generators, weight_matrix
-from .resolution import _colon_sets, betti_from_variable_sets, linear_quotients_certificate
+from .resolution import _colon_sets, betti_from_variable_sets
 from .toric import (
     KERNEL_BUDGET,
     _check_size,
@@ -194,7 +194,7 @@ def _cmd_betti(args) -> _Output:
     a = BlockStructure(_parts(args))
     n = a.n
     triples = sort_generators(a)
-    sets, failure = _colon_sets(*pack_triples(triples, n, 1))
+    sets, failure = _colon_sets(*pack_triples(triples, n, 1), n)
     result = {
         "linear_quotients": failure is None,
         "set_sizes": [len(s) for s in sets],
@@ -212,8 +212,7 @@ def _cmd_betti(args) -> _Output:
         ]
         rows = [["i", "betti_i"]] + [[i, b] for i, b in enumerate(table)]
     else:
-        cert = linear_quotients_certificate([t.monomial(n) for t in triples])
-        j, q = cert.first_failure
+        j, q = failure
         result["first_failure"] = {"position": j, "colon_generator": repr(q)}
         text = [
             f"betti numbers for blocks {list(a.parts)} (n = {n}):",

@@ -115,13 +115,9 @@ class _Packing(Layout):
             common ^= low
         return a + b - self.one - gcd
 
-    def monomial(self, p: int) -> Monomial:
-        """The Monomial of packed p."""
-        return Monomial(self.n, {v: e for v, e in zip(self.variables, self.exponents(p)) if e})
-
     def polynomial(self, work: Mapping[int, Fraction | int]) -> Polynomial:
         """The Polynomial of {packed monomial: coefficient}."""
-        return Polynomial(self.n, {self.monomial(p): c for p, c in work.items()})
+        return Polynomial(self.n, {self.monomial(p, self.n): c for p, c in work.items()})
 
 
 def _max_weight(polys: Sequence[Polynomial], order: WeightOrder) -> int:
@@ -391,13 +387,13 @@ def verify_theorem_main(
             argmax = [lead] + [p for p, _ in tail if weight(p) == top]
             failures.append(
                 f"minor {t.subset()}: maximum weight {top} attained by "
-                f"{len(argmax)} terms: {sorted(repr(monomial(p)) for p in argmax)}"
+                f"{len(argmax)} terms: {sorted(repr(monomial(p, n)) for p in argmax)}"
             )
         elif lead != expected:
             per_minor = False
             failures.append(
-                f"minor {t.subset()}: maximum-weight term {monomial(lead)!r} "
-                f"is not the matching-field generator {monomial(expected)!r}"
+                f"minor {t.subset()}: maximum-weight term {monomial(lead, n)!r} "
+                f"is not the matching-field generator {monomial(expected, n)!r}"
             )
 
     check = _buchberger(div, use_coprime_criterion)

@@ -81,7 +81,7 @@ def colon_by_monomial(prefix: Iterable[Monomial], m: Monomial) -> MonomialIdeal:
     """The colon ideal <prefix> : m, minimally generated.
 
     Generated by p / gcd(p, m) over the prefix members; minimalization drops
-    redundant quotients.
+    redundant quotients.  The tests' reference; no package code calls it.
     """
     quotients = [p.exact_div(p.gcd(m)) for p in prefix]
     return MonomialIdeal.from_monomials(quotients)
@@ -105,31 +105,29 @@ class QuotientCertificate:
 def linear_quotients_certificate(ordered: Sequence[Monomial]) -> QuotientCertificate:
     """Check the linear-quotient property along the given ordering.
 
-    _colon_sets runs the colons on the generators packed by pack_minimal.
-    At the first position whose colon is not generated by variables,
-    colon_by_monomial supplies the witness: the first minimal colon
-    generator of degree != 1.  The betti command packs its triples itself
-    and comes here only for that witness.
+    _colon_sets runs the colons on the generators packed by pack_minimal,
+    and at the first position whose colon is not generated by variables it
+    gives the witness: the first minimal colon generator of degree != 1.
 
     Raises ValueError when the generators live over different ambient n, or
     when one of them repeats or divides another.
     """
     gens = tuple(ordered)
-    sets, j = _colon_sets(*pack_minimal(gens))
-    if j is None:
-        return QuotientCertificate(ordered=gens, sets=sets, is_linear=True, first_failure=None)
-    q = next(q for q in colon_by_monomial(gens[:j], gens[j]).sorted_generators() if q.degree != 1)
-    return QuotientCertificate(ordered=gens, sets=sets, is_linear=False, first_failure=(j, q))
+    sets, failure = _colon_sets(*pack_minimal(gens), gens[0].n if gens else 0)
+    return QuotientCertificate(gens, sets, failure is None, failure)
 
 
 def _colon_sets(
-    layout: Layout, packed: Sequence[int]
-) -> tuple[tuple[frozenset[VariableId], ...], Optional[int]]:
-    """The colon variable sets along packed, a minimal generating set, up to
-    the first colon not generated by variables, and its position (or None).
-    <m_1..m_j> : m_{j+1} is generated by the quotients p / gcd(p, m_{j+1}),
-    each a saturating field-wise subtraction, and by variables exactly when
-    every quotient is divisible by a quotient of degree 1."""
+    layout: Layout, packed: Sequence[int], n: int
+) -> tuple[tuple[frozenset[VariableId], ...], Optional[tuple[int, Monomial]]]:
+    """The colon variable sets along packed, a minimal generating set over
+    ambient n, up to the first colon not generated by variables, and its
+    position and witness (or None).  <m_1..m_j> : m_{j+1} is generated by the
+    quotients p / gcd(p, m_{j+1}), each a saturating field-wise subtraction,
+    and by variables exactly when no quotient is stuck: divisible by no
+    quotient of degree 1.  A quotient dividing a stuck one is stuck, so the
+    minimal stuck quotients are the colon's minimal generators of degree != 1,
+    and the witness is the first of them in sorted order."""
     units, field, monus = layout.units, layout.field, layout.monus
     sets: list[frozenset[VariableId]] = []
     for j, m in enumerate(packed):
@@ -144,7 +142,8 @@ def _colon_sets(
                 variables.append(v)
                 covered |= q * field
         if not all(q & covered for q in others):
-            return tuple(sets), j
+            stuck = [layout.monomial(q, n) for q in others if not q & covered]
+            return tuple(sets), (j, MonomialIdeal.from_monomials(stuck).sorted_generators()[0])
         sets.append(frozenset(variables))
     return tuple(sets), None
 
@@ -172,8 +171,8 @@ def betti_from_certificate(cert: QuotientCertificate) -> BettiTable:
 def betti_diagonal_closed_form(n: int, ell: int) -> int:
     """Closed form for the one-block (diagonal) ideal on n columns: the
     Eagon-Northcott Betti numbers of the maximal minors, which degenerate onto it."""
-    if n < 3 or ell < 0:
-        raise ValueError("need n >= 3 and ell >= 0")
+    if type(n) is not int or type(ell) is not int or n < 3 or ell < 0:
+        raise ValueError(f"need integers n >= 3 and ell >= 0, got {n!r} and {ell!r}")
     return comb(n, 3 + ell) * comb(2 + ell, ell)
 
 
@@ -189,8 +188,8 @@ def diagonal_lex_sets(n: int) -> list[tuple[GeneratorTriple, frozenset[VariableI
     For the generator x_i y_j z_k the set is {x_1..x_{i-1}} u {y_{i+1}..y_{j-1}}
     u {z_{j+1}..z_{k-1}}, of size k - 3.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"need an integer n >= 3, got {n!r}")
     out = []
     for i, j, k in combinations(range(1, n + 1), 3):
         vs = (

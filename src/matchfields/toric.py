@@ -95,6 +95,8 @@ def diagonal_plucker_map(k: int, n: int) -> PluckerMap:
     Row i uses the i-th variable family, so for S = {c_1 < ... < c_k} the
     image is family_1[c_1] * ... * family_k[c_k].
     """
+    if type(k) is not int or type(n) is not int:
+        raise ValueError(f"k and n must be integers, got {k!r} and {n!r}")
     if not 2 <= k <= len(FAMILIES):
         raise ValueError(f"row count {k} must be between 2 and {len(FAMILIES)}")
     if n < k:
@@ -207,6 +209,8 @@ def _check_size(s: int, low: int, high: int, budget: int) -> None:
     a = budget.bit_length(), a degree d >= a over s >= a + 1 variables alone has
     comb(s - 1 + d, d) >= comb(2a, a) >= 2**a > budget monomials, so such a range
     counts a + 1 variables: a lower bound over the budget that keeps comb small."""
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     a = budget.bit_length()
     counted = min(s, a + 1) if high >= a else s
     k = 2 if s == 1 else counted

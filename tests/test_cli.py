@@ -197,7 +197,7 @@ def assert_betti_packs_the_triples_as_the_certificate_does(capsys, n):
         ts = sort_generators(BlockStructure(parts))
         cert = linear_quotients_certificate([t.monomial(n) for t in ts])
         assert cert.is_linear, parts
-        assert resolution._colon_sets(*_packed.pack_triples(ts, n, 1)) == (cert.sets, None)
+        assert resolution._colon_sets(*_packed.pack_triples(ts, n, 1), n) == (cert.sets, None)
         code, out, _ = run(capsys, "betti", "--blocks", ",".join(map(str, parts)), "--format", "json")
         result = json.loads(out)["result"]
         assert code == 0 and result["linear_quotients"] is True, parts
@@ -239,7 +239,43 @@ def test_the_packed_loop_stops_where_the_certificate_fails():
     cert = linear_quotients_certificate([t.monomial(6) for t in order])
     assert cert.first_failure == (17, Monomial.of(6, yvar(2), zvar(3)))
     assert len(cert.sets) == 17
-    assert resolution._colon_sets(*_packed.pack_triples(order, 6, 1)) == (cert.sets, 17)
+    assert resolution._colon_sets(*_packed.pack_triples(order, 6, 1), 6) == (
+        cert.sets, cert.first_failure
+    )
+
+
+def test_betti_decodes_only_the_stuck_quotients_of_the_failing_position(capsys, monkeypatch):
+    """On the planted order betti runs the packed colon loop once: it builds a
+    Monomial for each stuck quotient of the failing position (one that no
+    degree-1 quotient divides) and for nothing else, and calls neither the
+    public certificate, its pack_minimal, the dict colon nor the triples'
+    Monomials."""
+    order = planted_order()
+    gens = [t.monomial(6) for t in order]
+    quotients = [p.exact_div(p.gcd(gens[17])) for p in gens[:17]]
+    units = {q.variables()[0] for q in quotients if q.degree == 1}
+    stuck = [q for q in quotients if not units & set(q.variables())]
+    built = []
+    init = Monomial.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate ran again")
+
+    monkeypatch.setattr(cli, "sort_generators", lambda a: order)
+    for name in ("linear_quotients_certificate", "colon_by_monomial", "pack_minimal"):
+        monkeypatch.setattr(resolution, name, refuse)
+    monkeypatch.setattr(GeneratorTriple, "monomial", refuse)
+    monkeypatch.setattr(Monomial, "__init__", counted)
+    code, out, _ = run(capsys, "betti", "--blocks", "3,3", "--format", "json")
+    assert code == 1
+    failure = json.loads(out)["result"]["first_failure"]
+    assert failure == {"position": 17, "colon_generator": "y2*z3"}
+    assert sorted(map(repr, built)) == sorted(map(repr, stuck)) and stuck
+    assert not hasattr(cli, "linear_quotients_certificate")
 
 
 def test_betti_prints_the_certificate_witness_on_a_planted_order(capsys, monkeypatch):

@@ -605,9 +605,9 @@ def test_packed_minors_match_minor_expand(monkeypatch):
                     terms = {lead: 1 / Fraction(inv), **dict(tail)}
                     assert packing.polynomial(terms) == f
                     leads.append(leading_monomial(order, f))
-                    assert packing.monomial(lead) == leads[-1]
+                    assert packing.monomial(lead, n) == leads[-1]
                     for p in terms:
-                        assert packing.weight(p) == order.weight(packing.monomial(p))
+                        assert packing.weight(p) == order.weight(packing.monomial(p, n))
                 for g, h in combinations(leads, 2):
                     assert order.weight(g.lcm(h)) <= packing.bound
 

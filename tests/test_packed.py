@@ -37,6 +37,7 @@ def test_layout_matches_dict_monomials():
         c = random_monomial(rng, top, at_most=a)
         pa, pb, pc = (layout.pack(m) for m in (a, b, c))
         assert layout.exponents(pa) == [a.exponent(v) for v in order]
+        assert layout.monomial(pa, N) == a and layout.monomial(pa + pc, N) == a * c
         assert layout.pack(a * c) == pa + pc
         assert layout.monus([pa, pb], pb) == [
             layout.pack(a.exact_div(a.gcd(b))),
@@ -96,7 +97,7 @@ def test_packing_matches_dict_monomials():
         assert l == packing.pack(a.lcm(b))
         assert l >> packing.deg_shift & packing.field == a.lcm(b).degree
         assert packing.exponents(l) == [a.lcm(b).exponent(v) for v in order.precedence]
-        assert packing.monomial(pa) == a and packing.monomial(pab) == a * b
+        assert packing.monomial(pa, N) == a and packing.monomial(pab, N) == a * b
         assert list(packing.polynomial({l: 1}).monomials()) == [a.lcm(b)]
 
 
@@ -131,3 +132,4 @@ def test_pack_triples_holds_every_product_up_to_its_bound():
                     m = m * triples[i].monomial(n)
                 assert code == layout.pack(m), (parts, b, product)
                 assert layout.exponents(code) == [m.exponent(v) for v in layout.variables]
+                assert layout.monomial(code, n) == m

@@ -62,6 +62,28 @@ def test_betti_table_reads_zero_just_past_its_last_entry():
     assert (t[1], t[2]) == (2, 0)
 
 
+def test_betti_table_takes_a_zero_entry_before_its_last():
+    """0 is a nonnegative integer: only a trailing zero is refused."""
+    assert BettiTable((2, 0, 1)).values == (2, 0, 1)
+
+
+def test_oracle_takes_25_generators_by_default_and_refuses_26():
+    """The ideal (x1..x5)(y1..y5) has the tensor product of the two Koszul
+    resolutions, beta_k = sum_i C(5, i + 1) C(5, k - i + 1)."""
+    n = 5
+    grid = [Monomial.of(n, xvar(i), yvar(j)) for i in range(1, 6) for j in range(1, 6)]
+    want = [sum(comb(5, i + 1) * comb(5, k - i + 1) for i in range(k + 1)) for k in range(9)]
+    assert list(betti_oracle(MonomialIdeal(frozenset(grid)))) == want
+    with pytest.raises(TooLargeError, match="26 generators exceeds the oracle limit 25"):
+        betti_oracle(MonomialIdeal(frozenset(grid + [Monomial.of(n, zvar(1))])))
+
+
+def test_minimal_masks_keeps_each_inclusion_minimal_mask_once_smallest_first():
+    kept = resolution._minimal_masks([0b111, 0b011, 0b011, 0b100, 0b1000, 0b1100])
+    assert sorted(kept) == [0b11, 0b100, 0b1000]
+    assert [m.bit_count() for m in kept] == [1, 1, 2]
+
+
 def test_oracle_of_the_zero_ideal_is_the_empty_table():
     assert betti_oracle(MonomialIdeal(frozenset())) == BettiTable(())
 
@@ -152,6 +174,18 @@ def test_diagonal_closed_form_is_the_eagon_northcott_product():
     for n, ell in ((2, 0), (5, -1), (3, -2)):
         with pytest.raises(ValueError):
             betti_diagonal_closed_form(n, ell)
+
+
+@pytest.mark.parametrize("n, ell", [(5.0, 1), (5, 1.0), (True, 0), (5, False), ("5", 1)])
+def test_diagonal_closed_form_rejects_an_argument_that_is_not_an_int(n, ell):
+    with pytest.raises(ValueError, match="need integers n >= 3 and ell >= 0"):
+        betti_diagonal_closed_form(n, ell)
+
+
+@pytest.mark.parametrize("n", [4.0, True, "4", 2])
+def test_diagonal_lex_sets_rejects_n_that_is_too_small_or_not_an_int(n):
+    with pytest.raises(ValueError, match="need an integer n >= 3"):
+        diagonal_lex_sets(n)
 
 
 def test_diagonal_closed_form_equals_certificate():

@@ -88,6 +88,12 @@ def test_diagonal_map_two_and_three_rows():
     assert pm.assignment == {(1, 2, 3): Monomial.of(3, xvar(1), yvar(2), zvar(3))}
 
 
+@pytest.mark.parametrize("k, n", [(2.0, 4), (2, 4.0), (True, 4), (2, True), (3, Fraction(5))])
+def test_diagonal_plucker_map_rejects_an_argument_that_is_not_an_int(k, n):
+    with pytest.raises(ValueError, match="must be integers"):
+        diagonal_plucker_map(k, n)
+
+
 def test_image_monomial_and_unknown_variable():
     pm = diagonal_plucker_map(2, 4)
     m = image_monomial(pm, {(1, 2): 2, (3, 4): 1})
@@ -168,6 +174,23 @@ def test_kernel_budget():
     pm = plucker_map_from_matching_field(BlockStructure((6,)))
     with pytest.raises(TooLargeError):
         kernel_slice(pm, 3, budget=1000)
+
+
+BAD_BUDGETS = [1.5, None, -1, True, "10", Fraction(10)]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_kernel_slice_refuses_a_budget_that_is_not_a_nonnegative_int(budget):
+    pm = diagonal_plucker_map(2, 4)
+    with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+        kernel_slice(pm, 2, budget=budget)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS)
+def test_flatness_check_refuses_a_budget_that_is_not_a_nonnegative_int(budget):
+    pm = diagonal_plucker_map(2, 4)
+    with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+        flatness_check(pm, 2, 4, 2, budget=budget)
 
 
 def test_one_pluecker_variable_caps_the_indices_its_degrees_read():
