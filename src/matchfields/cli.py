@@ -10,9 +10,9 @@ Subcommands:
   supports     initial supports attainable by weight vectors (2x4 quadric)
 
 Exit codes: 0 on success, 1 when a mathematical check comes back false,
-2 on invalid input or an exceeded computation budget.  The commands keyed
-in MAX_COLUMNS refuse more columns than their entry before they build
-anything; kernel is sized by toric._check_size.
+2 on invalid input or an exceeded computation budget.  _structure refuses
+a command past its MAX_COLUMNS entry, and kernel past toric._check_size,
+before it builds anything.
 
 JSON output is written in one pass by _dumps, byte for byte what
 json.dumps(doc, indent=2, sort_keys=True) writes: keys sorted, two spaces
@@ -68,9 +68,9 @@ MAX_W0 = 2**32
 
 
 class _Output:
-    def __init__(self, ok: bool, input_dict: dict, result: dict, text: list[str], rows=None):
+    def __init__(self, ok: bool, a: Optional[BlockStructure], result: dict, text: list[str], rows=None):
         self.ok = ok
-        self.input = input_dict
+        self.a = a  # None for supports
         self.result = result
         self.text = text
         self.rows = rows  # header + data rows for csv, or None
@@ -86,11 +86,16 @@ def _parse_blocks(text: str) -> tuple[int, ...]:
     raise ValueError(f"cannot parse --blocks {text!r}: expected e.g. 2,3,2")
 
 
-def _parts(args) -> tuple[int, ...]:
-    """The composition given by --blocks and --n, checked without building a
-    BlockStructure; TooLargeError past the command's MAX_COLUMNS entry, which
-    reads only n = sum(parts), so it runs before any column table is built,
-    or past MAX_W0 for a command with --w0."""
+def _structure(args) -> BlockStructure:
+    """The composition given by --blocks and --n, built only after every
+    refusal that must come first: --dmax below 1 and --budget below 0 where
+    the command has them, malformed parts, then TooLargeError past the
+    command's MAX_COLUMNS entry or MAX_W0 and, for kernel, past toric's size
+    rule.  The limits read only n = sum(parts), so no column table is built."""
+    for name, least in (("dmax", 1), ("budget", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{name} must be at least {least}, got {value}")
     if args.blocks is None and args.n is None:
         raise ValueError("provide --blocks and/or --n")
     parts = _composition(_parse_blocks(args.blocks) if args.blocks is not None else (args.n,))
@@ -102,19 +107,13 @@ def _parts(args) -> tuple[int, ...]:
         raise TooLargeError(f"{_format_count(n)} columns exceeds the {args.command} limit of {limit} columns")
     if getattr(args, "w0", 1) > MAX_W0:
         raise TooLargeError(f"--w0 {_format_count(args.w0)} exceeds the limit of {MAX_W0}")
-    return parts
-
-
-def _input_dict(a: Optional[BlockStructure], n: Optional[int], w0: Optional[int]) -> dict:
-    return {
-        "n": a.n if a is not None else n,
-        "blocks": list(a.parts) if a is not None else None,
-        "w0": w0,
-    }
+    if args.command == "kernel":
+        _check_size(comb(n, 3), 1, args.dmax, args.budget)
+    return BlockStructure(parts)
 
 
 def _cmd_generators(args) -> _Output:
-    a = BlockStructure(_parts(args))
+    a = _structure(args)
     n = a.n
     gens = [
         {"columns": list(t.subset()), "triple": [t.x, t.y, t.z], "monomial": str(t)}
@@ -126,11 +125,11 @@ def _cmd_generators(args) -> _Output:
         cols = " ".join(map(str, g["columns"]))
         text.append(f"  columns {{{cols}}}  ->  {g['monomial']}")
         rows.append([cols, *g["triple"], g["monomial"]])
-    return _Output(True, _input_dict(a, None, None), {"count": len(gens), "generators": gens}, text, rows)
+    return _Output(True, a, {"count": len(gens), "generators": gens}, text, rows)
 
 
 def _cmd_weights(args) -> _Output:
-    a = BlockStructure(_parts(args))
+    a = _structure(args)
     n = a.n
     order = weight_matrix(a, args.w0)
     by_family = {
@@ -149,19 +148,11 @@ def _cmd_weights(args) -> _Output:
     for fam in ("x", "y", "z"):
         for i in range(1, n + 1):
             rows.append([f"{fam}{i}", by_family[fam][i - 1]])
-    return _Output(True, _input_dict(a, None, args.w0), result, text, rows)
-
-
-def _at_least(value: int, least: int, name: str) -> int:
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
+    return _Output(True, a, result, text, rows)
 
 
 def _cmd_verify(args) -> _Output:
-    if args.budget is not None:
-        _at_least(args.budget, 0, "--budget")
-    a = BlockStructure(_parts(args))
+    a = _structure(args)
     report = verify_theorem_main(
         a,
         w0=args.w0,
@@ -187,11 +178,11 @@ def _cmd_verify(args) -> _Output:
     for f in report.failures:
         text.append(f"  failure: {f}")
     text.append("PASS" if report.ok else "FAIL")
-    return _Output(report.ok, _input_dict(a, None, args.w0), result, text)
+    return _Output(report.ok, a, result, text)
 
 
 def _cmd_betti(args) -> _Output:
-    a = BlockStructure(_parts(args))
+    a = _structure(args)
     n = a.n
     triples = sort_generators(a)
     sets, failure = _colon_sets(*pack_triples(triples, n, 1), n)
@@ -220,11 +211,11 @@ def _cmd_betti(args) -> _Output:
             f"  first failure at position {j}: colon generator {q!r}",
             "FAIL",
         ]
-    return _Output(failure is None, _input_dict(a, None, None), result, text, rows)
+    return _Output(failure is None, a, result, text, rows)
 
 
 def _cmd_cointerval(args) -> _Output:
-    a = BlockStructure(_parts(args))
+    a = _structure(args)
     layers, f, g = _cointerval_inputs(a)
     ok, witness = is_cointerval(g)
     edges = g.sorted_edges()
@@ -253,15 +244,11 @@ def _cmd_cointerval(args) -> _Output:
     if witness:
         text.append(f"  witness: layers of vertices {witness[0]} and {witness[1]} not nested")
     text.append("PASS" if ok and layers.ok else "FAIL")
-    return _Output(ok and layers.ok, _input_dict(a, None, None), result, text)
+    return _Output(ok and layers.ok, a, result, text)
 
 
 def _cmd_kernel(args) -> _Output:
-    _at_least(args.dmax, 1, "--dmax")
-    _at_least(args.budget, 0, "--budget")
-    parts = _parts(args)
-    _check_size(comb(sum(parts), 3), 1, args.dmax, args.budget)
-    a = BlockStructure(parts)
+    a = _structure(args)
     triples = generator_triples(a)  # raises TooSmallError when n < 3
     codes = pack_triples(triples, a.n, args.dmax)[1]
     names: list[str] = []  # built at the first slice that lists binomials
@@ -299,7 +286,7 @@ def _cmd_kernel(args) -> _Output:
         if flat.ok
         else f"FAIL: Hilbert function differs from {dims}"
     )
-    return _Output(flat.ok, _input_dict(a, None, None), result, text)
+    return _Output(flat.ok, a, result, text)
 
 
 def _cmd_supports(args) -> _Output:
@@ -320,7 +307,7 @@ def _cmd_supports(args) -> _Output:
     for s in rendered:
         text.append("  {" + ", ".join(s) + "}")
     text.append(f"{len(rendered)} supports")
-    return _Output(True, _input_dict(None, n, None), result, text)
+    return _Output(True, None, result, text)
 
 
 _HANDLERS = {
@@ -467,7 +454,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format == "json":
         doc = {
             "command": args.command,
-            "input": out.input,
+            "input": {
+                "n": out.a.n if out.a is not None else args.plucker_quadric[1],
+                "blocks": list(out.a.parts) if out.a is not None else None,
+                "w0": getattr(args, "w0", None),
+            },
             "result": out.result,
             "version": __version__,
         }

@@ -141,6 +141,8 @@ class _Divider:
     __slots__ = ("packing", "rows", "guarded", "supports", "leads", "remaining")
 
     def __init__(self, basis: Iterable[list], packing: _Packing, budget: Optional[int]):
+        if budget is not None and (type(budget) is not int or budget < 0):
+            raise ValueError(f"budget must be None or a nonnegative integer, got {budget!r}")
         self.packing = packing
         self.rows = []
         for terms in basis:
@@ -446,6 +448,8 @@ def attainable_initial_supports(
     integer tableau with Bland's rule.  max_terms is the only size guard; on
     a 2-vCPU host 10 terms take about 0.8 s and 12 terms about 4 s.
     """
+    if type(max_terms) is not int or max_terms < 0:
+        raise ValueError(f"max_terms must be a nonnegative integer, got {max_terms!r}")
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no initial supports")
     monos = [m for _, m in f.terms()]

@@ -151,7 +151,10 @@ class MonomialIdeal:
     generators: frozenset[Monomial]
 
     def __post_init__(self):
-        pack_minimal(self.generators)  # raises ValueError unless minimal
+        gens = self.generators
+        if type(gens) is not frozenset or any(type(g) is not Monomial for g in gens):
+            raise ValueError(f"generators must be a frozenset of Monomials, got {gens!r}")
+        pack_minimal(gens)  # raises ValueError unless minimal
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "MonomialIdeal":
@@ -211,6 +214,8 @@ def weight_matrix(a: BlockStructure, w0: int = 1) -> WeightOrder:
 
 
 def _require_generator(a: BlockStructure, t: GeneratorTriple) -> None:
+    if type(t) is not GeneratorTriple:
+        raise NotAGeneratorError(f"{t!r} is not a GeneratorTriple")
     try:
         expected = generator(a, (t.x, t.y, t.z))
     except InvalidSubsetError as exc:

@@ -51,7 +51,8 @@ class BettiTable:
     """Total Betti numbers (beta_0, beta_1, ...) of a monomial ideal.
 
     Convention: these are Betti numbers of the ideal as a module, so beta_0
-    is the number of minimal generators.  Trailing zero entries are trimmed.
+    is the number of minimal generators.  Trailing zero entries are trimmed,
+    and an index outside the table, below 0 or past its end, reads 0.
     """
 
     values: tuple[int, ...]
@@ -71,7 +72,7 @@ class BettiTable:
         return len(self.values)
 
     def __getitem__(self, i: int) -> int:
-        return self.values[i] if i < len(self.values) else 0
+        return self.values[i] if 0 <= i < len(self.values) else 0
 
     def __repr__(self) -> str:
         return f"BettiTable{self.values}"
@@ -224,6 +225,8 @@ def betti_oracle(ideal: MonomialIdeal, max_generators: int = 25) -> BettiTable:
     So every nonzero beta_{i,b} lies at a multidegree that the Mayer-Vietoris
     tree (_mayer_vietoris) records, and homology decides each (_betti_at).
     """
+    if type(max_generators) is not int or max_generators < 0:
+        raise ValueError(f"max_generators must be a nonnegative integer, got {max_generators!r}")
     gens = ideal.sorted_generators()
     k = len(gens)
     if k == 0:

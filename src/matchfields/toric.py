@@ -370,7 +370,7 @@ def plucker_variable_name(subset: Subset) -> str:
 
 def _format_exponents(names: list[str], exponents: Exponents) -> str:
     """The monomial with these exponents over names, from its positive entries."""
-    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e > 0]
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents, strict=True) if e > 0]
     return "*".join(parts) if parts else "1"
 
 

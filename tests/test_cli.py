@@ -538,7 +538,7 @@ def test_the_column_table_refuses_exactly_where_the_generator_counts_did(command
     for n in ns:
         args = argparse.Namespace(command=command, n=n, blocks=None)
         try:
-            cli._parts(args)
+            cli._structure(args)
             refused = False
         except TooLargeError:
             refused = True
@@ -782,6 +782,24 @@ def test_cointerval_prints_nesting_failures_and_the_witness(capsys, monkeypatch)
         "in z_5-layer: y_2 x-set not inside y_3 x-set",
     ]
     assert (r["cointerval"], r["witness"]) == (False, [1, 2])
+
+
+def test_cointerval_fails_when_either_check_fails_alone(capsys, monkeypatch):
+    """The nesting check and the co-interval check each decide the verdict:
+    one failing alone prints FAIL and exits 1."""
+    monkeypatch.setattr(cli, "is_cointerval", lambda g: (False, (1, 2)))
+    code, out, _ = run(capsys, "cointerval", "--blocks", "2,3")
+    assert code == 1
+    assert "  z- and y-layer nesting: yes\n  co-interval: NO\n" in out and out.endswith("\nFAIL\n")
+    sort_generators = cellular.sort_generators
+    dropped = GeneratorTriple(1, 3, 5)
+    monkeypatch.setattr(
+        cellular, "sort_generators", lambda a: [t for t in sort_generators(a) if t != dropped]
+    )
+    monkeypatch.setattr(cli, "is_cointerval", lambda g: (True, None))
+    code, out, _ = run(capsys, "cointerval", "--blocks", "5")
+    assert code == 1
+    assert "  z- and y-layer nesting: NO\n  co-interval: yes\n" in out and out.endswith("\nFAIL\n")
 
 
 def test_cointerval_call_reads_one_layer_table(capsys, monkeypatch):

@@ -138,6 +138,22 @@ def test_budget_exhaustion_raises_not_false():
         verify_theorem_main(a, budget=10)
 
 
+@pytest.mark.parametrize("budget", [-1, 2.5, "5", True])
+def test_a_budget_that_is_not_an_int_of_at_least_zero_is_an_input_error(budget):
+    """A malformed budget is refused as input, not read as one that ran out."""
+    n = 1
+    order = _unit_order(n)
+    f = Polynomial.from_terms(n, [(1, Monomial.of(n, xvar(1))), (-1, Monomial.of(n, yvar(1)))])
+    calls = [
+        lambda: reduce(f, [f], order, budget=budget),
+        lambda: is_groebner([f, f], order, budget=budget),
+        lambda: verify_theorem_main(BlockStructure((4,)), budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^budget must be None or a nonnegative integer, got "):
+            call()
+
+
 def test_coprime_criterion_agrees_with_full_reduction():
     for parts in [(4,), (2, 2), (1, 1, 2)]:
         a = BlockStructure(parts)
@@ -245,6 +261,12 @@ def test_attainable_supports_respects_term_cap():
         attainable_initial_supports(big, max_terms=12)
     with pytest.raises(TooLargeError):
         attainable_initial_supports(big)
+
+
+@pytest.mark.parametrize("cap", [None, -1, 2.5, True, "12"])
+def test_attainable_supports_refuses_a_cap_that_is_not_an_int_of_at_least_zero(cap):
+    with pytest.raises(ValueError, match=r"^max_terms must be a nonnegative integer, got "):
+        attainable_initial_supports(plucker_quadric_gr24(), max_terms=cap)
 
 
 def test_verify_reports_per_minor_details():

@@ -215,6 +215,21 @@ def test_monomial_ideal_minimalization():
         MonomialIdeal(frozenset({x, xy}))
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [Monomial.of(2, xvar(1)), Monomial.of(2, yvar(2))],
+        {Monomial.of(2, xvar(1))},
+        (Monomial.of(2, xvar(1)),),
+        frozenset({"a"}),
+        frozenset({Monomial.of(2, xvar(1)), 1}),
+    ],
+)
+def test_monomial_ideal_refuses_generators_that_are_not_a_frozenset_of_monomials(generators):
+    with pytest.raises(ValueError, match=r"^generators must be a frozenset of Monomials, got "):
+        MonomialIdeal(generators)
+
+
 def test_weight_matrix_frozen_example():
     a = BlockStructure((2, 3, 2))
     order = weight_matrix(a, w0=1)
@@ -366,6 +381,21 @@ def test_block_order_rejects_foreign_triples():
     a = BlockStructure((3, 2))
     with pytest.raises(NotAGeneratorError):
         block_order_compare(a, GeneratorTriple(1, 2, 3), GeneratorTriple(2, 1, 3))
+
+
+@pytest.mark.parametrize("t", [(1, 2, 3), [1, 2, 3], "xyz", None, xvar(1)])
+def test_every_triple_function_refuses_what_is_not_a_generator_triple(t):
+    a = BlockStructure((3, 2))
+    calls = [
+        lambda: block_order_compare(a, t, GeneratorTriple(1, 2, 3)),
+        lambda: block_order_compare(a, GeneratorTriple(1, 2, 3), t),
+        lambda: s_set(a, t),
+        lambda: s_set_variables(a, t),
+        lambda: s_size_closed_form(a, t),
+    ]
+    for call in calls:
+        with pytest.raises(NotAGeneratorError, match="is not a GeneratorTriple$"):
+            call()
 
 
 def test_s_set_frozen_sizes_and_variables():

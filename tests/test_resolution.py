@@ -62,6 +62,13 @@ def test_betti_table_reads_zero_just_past_its_last_entry():
     assert (t[1], t[2]) == (2, 0)
 
 
+def test_betti_table_reads_zero_below_its_first_entry():
+    """0 outside the table holds on both sides: i < 0 does not read from the end."""
+    t = BettiTable((1, 2))
+    assert (t[-1], t[-2], t[0]) == (0, 0, 1)
+    assert betti_diagonal_table(5)[-1] == 0
+
+
 def test_betti_table_takes_a_zero_entry_before_its_last():
     """0 is a nonnegative integer: only a trailing zero is refused."""
     assert BettiTable((2, 0, 1)).values == (2, 0, 1)
@@ -86,6 +93,14 @@ def test_minimal_masks_keeps_each_inclusion_minimal_mask_once_smallest_first():
 
 def test_oracle_of_the_zero_ideal_is_the_empty_table():
     assert betti_oracle(MonomialIdeal(frozenset())) == BettiTable(())
+
+
+@pytest.mark.parametrize("cap", [None, -1, 2.5, True, "25"])
+def test_oracle_refuses_a_cap_that_is_not_an_int_of_at_least_zero(cap):
+    ideal = MonomialIdeal(frozenset({Monomial.of(3, xvar(1))}))
+    for gens in (ideal, MonomialIdeal(frozenset())):
+        with pytest.raises(ValueError, match=r"^max_generators must be a nonnegative integer, got "):
+            betti_oracle(gens, max_generators=cap)
 
 
 def test_colon_by_monomial():
